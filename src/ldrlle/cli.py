@@ -25,7 +25,7 @@ EXIT_NUMERICAL = 5
 
 
 def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_generate(args) -> int:
@@ -84,15 +84,14 @@ def cmd_embed(args) -> int:
         "linear_r2": diag.linear_r2,
         "rank_correlation": diag.rank_correlation,
     }
-    if spectra:
-        alphas = np.array([s.alpha for s in spectra])
+    if spectra is not None:
         meta["alpha"] = {
-            "min": float(alphas.min()),
-            "mean": float(alphas.mean()),
-            "max": float(alphas.max()),
+            "min": float(spectra.alpha.min()),
+            "mean": float(spectra.alpha.mean()),
+            "max": float(spectra.alpha.max()),
         }
-        meta["r_max"] = float(max(s.radius for s in spectra))
-        meta["gap_warnings"] = [int(s.center_index) for s in spectra if s.gap_warning]
+        meta["r_max"] = float(spectra.radius.max())
+        meta["gap_warnings"] = np.flatnonzero(spectra.gap_warning).tolist()
     else:
         meta["alpha"] = None
         meta["r_max"] = None
@@ -103,7 +102,7 @@ def cmd_embed(args) -> int:
         neighbors.save_neighbor_graph(graph, args.dump_neighbors)
     if args.dump_weights is not None:
         weights.save_weight_matrix(W, args.dump_weights)
-    if args.dump_spectra is not None and spectra:
+    if args.dump_spectra is not None and spectra is not None:
         weights.save_spectra(spectra, args.dump_spectra)
     print(
         f"wrote {args.out} ({X.shape[0]} x {args.d}), "
@@ -153,46 +152,31 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_theorem2(args) -> int:
-    rows = []
     if args.generator is not None:
-        for n in args.n_list:
-            sample = datasets.generate(args.generator, n, args.seed)
-            graph = neighbors.knn(sample.points, args.k)
-            W, spectra = weights.assemble_weight_matrix(
-                sample.points, graph, "ldr", d=args.d
-            )
-            result = diagnostics.theorem2_check_from_parts(sample.preimage, W, spectra)
-            null = diagnostics.permuted_preimage_null(
-                W, sample.preimage, permutations=args.permutations, seed=args.seed
-            )
-            rows.append(_theorem2_row(n, result, null))
-    else:
-        if args.preimage is None:
-            print(
-                "error: --input requires --preimage: the objective-value check "
-                "scores ground-truth parameters, which an arbitrary CSV does not carry",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        X = datasets.load_csv(args.input)
-        Z = datasets.load_csv(args.preimage)
-        if Z.shape[0] != X.shape[0]:
-            raise ValueError(
-                f"preimage has {Z.shape[0]} rows but input has {X.shape[0]}"
-            )
-        graph = neighbors.knn(X, args.k)
-        W, spectra = weights.assemble_weight_matrix(X, graph, "ldr", d=args.d)
-        result = diagnostics.theorem2_check_from_parts(Z, W, spectra)
-        null = diagnostics.permuted_preimage_null(
-            W, Z, permutations=args.permutations, seed=args.seed
+        samples = (datasets.generate(args.generator, n, args.seed) for n in args.n_list)
+    elif args.preimage is None:
+        print(
+            "error: --input requires --preimage: the objective-value check "
+            "scores ground-truth parameters, which an arbitrary CSV does not carry",
+            file=sys.stderr,
         )
-        rows.append(_theorem2_row(X.shape[0], result, null))
+        return EXIT_USAGE
+    else:
+        X, Z = _load_points(args)
+        samples = [datasets.GeneratedSample(X, Z, str(args.input), args.seed)]
+    rows = []
+    for sample in samples:
+        result = diagnostics.theorem2_check(sample, args.k, args.d)
+        null = diagnostics.permuted_preimage_null(
+            result.W, sample.preimage, permutations=args.permutations, seed=args.seed
+        )
+        rows.append(_theorem2_row(sample.points.shape[0], result, null))
 
     bounded = None
     if len(rows) > 1:
-        first = rows[0]["ratio"]
-        bounded = bool(
-            np.isfinite(first) and all(r["ratio"] <= 2.0 * first for r in rows)
+        base = min(rows, key=lambda r: r["n"])["ratio"]
+        bounded = base is not None and all(
+            r["ratio"] is not None and r["ratio"] <= 2.0 * base for r in rows
         )
     config = {
         "command": "theorem2",
@@ -206,9 +190,11 @@ def cmd_theorem2(args) -> int:
     }
     _write_json(args.out, {"config": config, "rows": rows, "bounded": bounded})
     for r in rows:
+        ratio = "n/a" if r["ratio"] is None else f"{r['ratio']:.3e}"
+        null_over_phi = "n/a" if r["null_over_phi"] is None else f"{r['null_over_phi']:.1f}"
         print(
-            f"n {r['n']}: phi/n {r['phi_z_over_n']:.3e}, ratio {r['ratio']:.3e}, "
-            f"null/phi {r['null_over_phi']:.1f}"
+            f"n {r['n']}: phi/n {r['phi_z_over_n']:.3e}, ratio {ratio}, "
+            f"null/phi {null_over_phi}"
         )
     if bounded is not None:
         print(f"ratio bounded (within 2x of smallest n): {bounded}")
@@ -221,10 +207,11 @@ def _theorem2_row(n, result, null) -> dict:
         "phi_z_over_n": result.phi_z_over_n,
         "max_lambda_dp1": result.max_lambda_dp1,
         "r_max": result.r_max,
-        "ratio": result.ratio,
+        # Strict JSON: an undefined ratio or a quotient over a zero objective is null.
+        "ratio": result.ratio if np.isfinite(result.ratio) else None,
         "null_phi_z_over_n": null,
         "null_over_phi": (null / result.phi_z_over_n
-                          if result.phi_z_over_n > 0.0 else float("inf")),
+                          if result.phi_z_over_n > 0.0 else None),
     }
 
 

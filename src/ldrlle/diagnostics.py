@@ -7,7 +7,7 @@ statistics used to compare embeddings against ground truth (affine-fit R^2,
 Procrustes residual, rank correlation).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -15,15 +15,10 @@ from scipy.linalg import orthogonal_procrustes
 from scipy.stats import spearmanr
 
 from .embedding import phi
-from .errors import SingularNeighborhoodError, UndefinedCorrelationError
+from .errors import UndefinedCorrelationError
 from .neighbors import NeighborhoodMatrix, knn
-from .weights import (
-    assemble_weight_matrix,
-    ldr_weights,
-    lle_weights,
-    lle_weights_pinv,
-    neighborhood_spectrum,
-)
+from .weights import _classical, _ldr, _split, _sqnorm
+from .weights import assemble_weight_matrix, neighborhood_spectrum
 
 # Top singular value of the rescaled grid cross; must stay below 1 for the
 # stability bound to apply, and 0.99 keeps all the study epsilons inside the
@@ -94,8 +89,7 @@ class PerturbationReport:
     trials: int
     distances_classical: np.ndarray
     distances_ldr: np.ndarray
-    bound: Optional[float]         # None when the bound's preconditions fail
-    preconditions_met: np.ndarray  # bool per trial
+    bound: Optional[float]  # None when the bound's preconditions fail
 
 
 def perturbation_experiment(epsilons=DEFAULT_EPSILONS, trials: int = DEFAULT_TRIALS,
@@ -123,26 +117,17 @@ def perturbation_experiment(epsilons=DEFAULT_EPSILONS, trials: int = DEFAULT_TRI
         if not eps > 0.0:
             raise ValueError(f"epsilon must be > 0, got {eps}")
         bound = theorem1_bound(lam_d, spec.alpha, eps)
-        d_classical = np.empty(trials)
-        d_ldr = np.empty(trials)
-        for t in range(trials):
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence([seed, e_idx, t]))
-            )
-            E = rng.standard_normal((4, 4))
-            E /= np.linalg.norm(E)
-            Xt = NeighborhoodMatrix.from_rows(base.rows + eps * E)
-            try:
-                w_cl = lle_weights(Xt, 0.0)
-            except SingularNeighborhoodError:
-                w_cl = lle_weights_pinv(Xt)
-            w_ldr = ldr_weights(Xt, 2)
-            d_classical[t] = np.linalg.norm(w_cl - uniform)
-            d_ldr[t] = np.linalg.norm(w_ldr - uniform)
-        met = np.full(trials, bound is not None)
-        reports.append(
-            PerturbationReport(float(eps), trials, d_classical, d_ldr, bound, met)
-        )
+        seqs = (np.random.SeedSequence([seed, e_idx, t]) for t in range(trials))
+        noise = np.stack([np.random.default_rng(q).standard_normal((4, 4)) for q in seqs])
+        noise /= np.sqrt(_sqnorm(noise.reshape(trials, 16)))[:, None, None]
+        rows = base.rows + eps * noise
+        w_cl = _classical(rows, 0.0, pinv_singular=True)
+        U, spectra = _split(rows, 2)
+        w_ldr = _ldr(U[:, :, 2:], spectra.alpha)
+        reports.append(PerturbationReport(
+            float(eps), trials, np.sqrt(_sqnorm(w_cl - uniform)),
+            np.sqrt(_sqnorm(w_ldr - uniform)), bound,
+        ))
     return reports
 
 
@@ -156,12 +141,12 @@ def perturbation_report_dict(reports, config: dict | None = None) -> dict:
     for r in reports:
         violations = None
         if r.bound is not None:
-            violations = int(np.sum((r.distances_ldr >= r.bound) & r.preconditions_met))
+            violations = int(np.sum(r.distances_ldr >= r.bound))
         rows.append({
             "epsilon": r.epsilon,
             "trials": r.trials,
             "bound": r.bound,
-            "preconditions_met": bool(r.preconditions_met.all()),
+            "preconditions_met": r.bound is not None,
             "violations": violations,
             "classical": _distance_stats(r.distances_classical),
             "ldr": _distance_stats(r.distances_ldr),
@@ -196,6 +181,7 @@ class Theorem2Result:
     max_lambda_dp1: float
     r_max: float
     ratio: float
+    W: object = field(repr=False)  # the weights phi was evaluated under
 
 
 def theorem2_check_from_parts(preimage, W, spectra) -> Theorem2Result:
@@ -207,14 +193,14 @@ def theorem2_check_from_parts(preimage, W, spectra) -> Theorem2Result:
     """
     n = W.shape[0]
     phi_z = phi(preimage, W) / n
-    max_tail = max(float(s.singular_values[s.d]) for s in spectra)
-    max_lead = max(float(s.singular_values[0]) for s in spectra)
-    r_max = max(float(s.radius) for s in spectra)
+    max_tail = float(spectra.singular_values[:, spectra.d].max())
+    max_lead = float(spectra.singular_values[:, 0].max())
+    r_max = float(spectra.radius.max())
     if max_tail <= TAIL_VANISH_REL * max_lead:
         ratio = float("nan")
     else:
         ratio = phi_z / (max_tail * r_max ** 2)
-    return Theorem2Result(phi_z, max_tail, r_max, ratio)
+    return Theorem2Result(phi_z, max_tail, r_max, ratio, W)
 
 
 def theorem2_check(sample, K: int, d: int) -> Theorem2Result:

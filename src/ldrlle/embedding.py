@@ -18,6 +18,7 @@ import scipy.sparse.linalg
 
 from .datasets import save_csv
 from .errors import DisconnectedGraphError, EigenSolverError
+from .weights import _fix_signs
 
 # At or below this N the dense symmetric solver is used; above it, ARPACK
 # shift-invert.  The two paths agree to 1e-6 on problems where both apply.
@@ -59,14 +60,6 @@ def build_m(W) -> sparse.csr_matrix:
     A = sparse.eye(n, format="csr") - W
     M = (A.T @ A).tocsr()
     return ((M + M.T) * 0.5).tocsr()
-
-
-def _fix_column_signs(Y: np.ndarray) -> np.ndarray:
-    lead = np.argmax(np.abs(Y), axis=0)
-    flip = Y[lead, np.arange(Y.shape[1])] < 0.0
-    Y = Y.copy()
-    Y[:, flip] *= -1.0
-    return Y
 
 
 def _complement_basis(y: np.ndarray) -> np.ndarray:
@@ -213,7 +206,7 @@ def embed(W, d: int, solver: str = "auto") -> Embedding:
     # No renormalization: the columns are orthonormal to solver precision
     # already, and the sign flip negates residuals exactly, so the reported
     # eigenvalues stay bit-consistent with a direct phi evaluation of Y.
-    Y = _fix_column_signs(C[:, order])
+    Y = _fix_signs(C[:, order])
     return Embedding(Y, mu[order].copy(), dropped)
 
 
@@ -247,5 +240,5 @@ def save_embedding(emb: Embedding, path, metadata: dict | None = None) -> None:
     if metadata:
         sidecar.update(metadata)
     Path(path).with_suffix(".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+        json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )

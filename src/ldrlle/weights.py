@@ -9,6 +9,11 @@ reconstruct the center exactly from that representation; it needs no
 regularization, and the weights depend only on the projector onto the
 discarded singular directions, which is well defined whenever the top-d
 spectral gap is.
+
+Every solve is written once, as a kernel over a stack of centered
+neighborhoods `rows` of shape (N, K, D); the single-neighborhood functions
+run the same kernels on a stack of one.  A kernel raises the typed error of
+its first failing row, with the row as point_index.
 """
 
 from dataclasses import dataclass
@@ -19,7 +24,7 @@ import scipy.sparse as sparse
 
 from .datasets import validate_cloud
 from .errors import DegenerateWeightsError, GeneralPositionError, SingularNeighborhoodError
-from .neighbors import NeighborGraph, NeighborhoodMatrix, neighborhood_matrix
+from .neighbors import NeighborGraph, NeighborhoodMatrix
 
 # Regularization scale: the ridge added to the Gram matrix is
 # (delta / K) * trace(G), so it is invariant to input scaling.
@@ -33,6 +38,9 @@ GENERAL_POSITION_TOL = 1e-12
 
 # Relative spectral-gap floor below which the rank-d split is flagged.
 GAP_WARN_REL = 1e-6
+
+# The errors of a single neighborhood, which assembly re-raises naming the point.
+_ROW_ERRORS = (SingularNeighborhoodError, DegenerateWeightsError, GeneralPositionError)
 
 
 @dataclass
@@ -52,18 +60,124 @@ class NeighborhoodSpectrum:
     U2: np.ndarray               # (K, K - d)
     alpha: float
     d: int
-    radius: float = float("nan")
-    center_index: int = -1
     gap_warning: bool = False
 
 
+@dataclass
+class Spectra:
+    """Rank-d splits of all neighborhoods of a cloud; row i belongs to point i.
+
+    singular_values, alpha and gap_warning are as in NeighborhoodSpectrum;
+    radius is the largest distance from the point to one of its neighbors.
+    """
+
+    singular_values: np.ndarray  # (N, K)
+    alpha: np.ndarray            # (N,)
+    radius: np.ndarray           # (N,)
+    gap_warning: np.ndarray      # (N,) bool
+    d: int
+
+
+def _one(kernel, rows, *args):
+    """Row 0 of a kernel run on a stack of one; its errors name no point."""
+    try:
+        return kernel(np.asarray(rows, dtype=float)[None], *args)[0]
+    except _ROW_ERRORS as exc:
+        exc.point_index = None
+        raise
+
+
+def _sqnorm(v: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of v, one dot product per row."""
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 def _fix_signs(U: np.ndarray) -> np.ndarray:
-    """Make each column's largest-magnitude entry positive (first one on ties)."""
-    lead = np.argmax(np.abs(U), axis=0)
-    flip = U[lead, np.arange(U.shape[1])] < 0.0
-    U = U.copy()
-    U[:, flip] *= -1.0
-    return U
+    """Make each column's largest-magnitude entry positive (first one on ties), per matrix."""
+    lead = np.argmax(np.abs(U), axis=-2)
+    picked = np.take_along_axis(U, lead[..., None, :], axis=-2)
+    return U * np.where(picked < 0.0, -1.0, 1.0)
+
+
+def _split(rows: np.ndarray, d: int):
+    """Stacked SVD split at rank d: sign-fixed left-singular bases (N, K, K) and Spectra."""
+    n, K = rows.shape[:2]
+    if not 1 <= d < K:
+        raise ValueError(f"need 1 <= d < K = {K}, got d = {d}")
+    U, s, _ = np.linalg.svd(rows, full_matrices=True)
+    U = _fix_signs(U)
+    lam = np.zeros((n, K))
+    lam[:, : s.shape[1]] = s
+    alpha = _sqnorm(np.ones(K) @ U[:, :, :d]) / K
+    radius = np.sqrt((rows * rows).sum(axis=2).max(axis=1))
+    top = lam[:, 0]
+    gap = (top <= 0.0) | (
+        (lam[:, d - 1] - lam[:, d]) / np.where(top > 0.0, top, 1.0) < GAP_WARN_REL
+    )
+    return U, Spectra(lam, alpha, radius, gap, d)
+
+
+def _ldr(U2: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Stacked w = U2 U2' 1 / (1' U2 U2' 1) from discarded bases (N, K, K - d)."""
+    K = U2.shape[1]
+    coef = np.ones(K) @ U2
+    denom = _sqnorm(coef)
+    bad = denom <= GENERAL_POSITION_TOL * K
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise GeneralPositionError(
+            f"projected neighborhood is not in general position "
+            f"(1'U2U2'1 = {denom[i]:.3e}, alpha = {alpha[i]:.6f})",
+            alpha=float(alpha[i]), point_index=i,
+        )
+    return (U2 @ coef[:, :, None])[:, :, 0] / denom[:, None]
+
+
+def _classical(rows: np.ndarray, delta: float, pinv_singular: bool = False) -> np.ndarray:
+    """Stacked classical weights: (G + delta_eff I) w = 1, normalized.
+
+    With delta = 0, a row whose Gram matrix is singular to working precision
+    is refused, or with pinv_singular gets the pseudo-inverse solution G^+ 1.
+    """
+    if delta < 0.0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    n, K = rows.shape[:2]
+    G = rows @ rows.transpose(0, 2, 1)
+    trace = np.trace(G, axis1=1, axis2=2)
+    singular = np.zeros(n, dtype=bool)
+    if delta == 0.0:
+        evals = np.linalg.eigvalsh(G)
+        top = evals[:, -1]
+        rcond = np.divide(np.maximum(evals[:, 0], 0.0), top, out=np.zeros(n), where=top > 0.0)
+        singular = rcond < RCOND_MIN
+        lhs = G
+    else:
+        lhs = G + ((delta / K) * trace)[:, None, None] * np.eye(K)
+    # With all neighbors on the center only the ridge objective remains; its
+    # minimizer under the sum constraint is uniform, which the identity system
+    # yields.  Singular rows solve it too and are replaced or refused below.
+    lhs = np.where((singular | (trace == 0.0))[:, None, None], np.eye(K), lhs)
+    w = np.linalg.solve(lhs, np.ones((n, K, 1)))[:, :, 0]
+    if pinv_singular:
+        # G^+ 1 = R^+' R^+ 1: a pseudo-inverse of G itself squares the condition
+        # number, and its cutoff can drop every small direction (weights sum to 0).
+        P = np.linalg.pinv(rows[singular])
+        w[singular] = ((P @ np.ones(K))[:, None, :] @ P)[:, 0, :]
+        singular[:] = False
+    total = w.sum(axis=1)
+    bad = singular | (total == 0.0) | (np.abs(total) < 1e-14 * np.abs(w).sum(axis=1))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if singular[i]:
+            raise SingularNeighborhoodError(
+                f"Gram matrix is singular to working precision (rcond = {rcond[i]:.2e}); "
+                "pass delta > 0 or use the rank-d method",
+                rcond=float(rcond[i]), point_index=i,
+            )
+        raise DegenerateWeightsError(
+            "weight vector sums to zero; normalization undefined", point_index=i
+        )
+    return w / total[:, None]
 
 
 def neighborhood_spectrum(Xi: NeighborhoodMatrix, d: int) -> NeighborhoodSpectrum:
@@ -72,45 +186,9 @@ def neighborhood_spectrum(Xi: NeighborhoodMatrix, d: int) -> NeighborhoodSpectru
     Column signs follow the largest-magnitude-entry-positive convention, so
     repeated runs on the same machine agree bit for bit.
     """
-    rows = np.asarray(Xi.rows, dtype=float)
-    K = rows.shape[0]
-    if not 1 <= d < K:
-        raise ValueError(f"need 1 <= d < K = {K}, got d = {d}")
-    U, s, _ = np.linalg.svd(rows, full_matrices=True)
-    U = _fix_signs(U)
-    lam = np.zeros(K)
-    lam[: s.size] = s
-    U1 = U[:, :d]
-    U2 = U[:, d:]
-    proj = U1.T @ np.ones(K)
-    alpha = float(proj @ proj) / K
-    top = lam[0]
-    gap_warning = bool(top <= 0.0 or (lam[d - 1] - lam[d]) / top < GAP_WARN_REL)
-    return NeighborhoodSpectrum(
-        singular_values=lam,
-        U1=U1,
-        U2=U2,
-        alpha=alpha,
-        d=d,
-        radius=Xi.radius,
-        center_index=Xi.center_index,
-        gap_warning=gap_warning,
-    )
-
-
-def _gram_rcond(G: np.ndarray) -> float:
-    evals = np.linalg.eigvalsh(G)
-    top = evals[-1]
-    if top <= 0.0:
-        return 0.0
-    return max(float(evals[0]), 0.0) / float(top)
-
-
-def _normalize(w: np.ndarray) -> np.ndarray:
-    total = w.sum()
-    if total == 0.0 or abs(total) < 1e-14 * np.abs(w).sum():
-        raise DegenerateWeightsError("weight vector sums to zero; normalization undefined")
-    return w / total
+    U, spec = _split(np.asarray(Xi.rows, dtype=float)[None], d)
+    return NeighborhoodSpectrum(spec.singular_values[0], U[0, :, :d], U[0, :, d:],
+                                float(spec.alpha[0]), d, bool(spec.gap_warning[0]))
 
 
 def lle_weights(Xi: NeighborhoodMatrix, delta: float) -> np.ndarray:
@@ -121,40 +199,17 @@ def lle_weights(Xi: NeighborhoodMatrix, delta: float) -> np.ndarray:
     With delta = 0 the Gram matrix must be nonsingular to working precision
     (reciprocal condition number above 1e-12), which fails whenever K > D.
     """
-    if delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    rows = np.asarray(Xi.rows, dtype=float)
-    K = rows.shape[0]
-    G = rows @ rows.T
-    trace = float(np.trace(G))
-    if delta == 0.0:
-        rcond = _gram_rcond(G)
-        if rcond < RCOND_MIN:
-            raise SingularNeighborhoodError(
-                f"Gram matrix is singular to working precision (rcond = {rcond:.2e}); "
-                "pass delta > 0 or use the rank-d method",
-                rcond=rcond,
-            )
-        lhs = G
-    elif trace == 0.0:
-        # All neighbors coincide with the center; the ridge objective alone
-        # remains and its minimizer under the sum constraint is uniform.
-        return np.full(K, 1.0 / K)
-    else:
-        lhs = G + (delta / K) * trace * np.eye(K)
-    return _normalize(np.linalg.solve(lhs, np.ones(K)))
+    return _one(_classical, Xi.rows, delta)
 
 
 def lle_weights_pinv(Xi: NeighborhoodMatrix) -> np.ndarray:
     """Unregularized weights via the pseudo-inverse: G^+ 1, normalized.
 
-    Minimum-norm solution of the stationarity equation G w proportional to 1;
-    used where the exact delta = 0 solution is wanted even when the Gram
-    matrix is singular (e.g. the perturbation study).
+    Minimum-norm solution of the stationarity equation G w proportional to 1
+    (G^-1 1 where G is nonsingular to working precision); used where the
+    exact delta = 0 solution is wanted even when G is singular.
     """
-    rows = np.asarray(Xi.rows, dtype=float)
-    G = rows @ rows.T
-    return _normalize(np.linalg.pinv(G) @ np.ones(rows.shape[0]))
+    return _one(_classical, Xi.rows, 0.0, True)
 
 
 def ldr_weights_from_spectrum(spec: NeighborhoodSpectrum) -> np.ndarray:
@@ -165,17 +220,7 @@ def ldr_weights_from_spectrum(spec: NeighborhoodSpectrum) -> np.ndarray:
     GeneralPositionError when 1' U2 U2' 1 <= 1e-12 * K, i.e. the ones vector
     numerically lies inside the retained subspace (alpha = 1).
     """
-    U2 = spec.U2
-    K = U2.shape[0]
-    coef = U2.T @ np.ones(K)
-    denom = float(coef @ coef)
-    if denom <= GENERAL_POSITION_TOL * K:
-        raise GeneralPositionError(
-            f"projected neighborhood is not in general position "
-            f"(1'U2U2'1 = {denom:.3e}, alpha = {spec.alpha:.6f})",
-            alpha=spec.alpha,
-        )
-    return (U2 @ coef) / denom
+    return _one(_ldr, spec.U2, np.array([spec.alpha]))
 
 
 def ldr_weights(Xi: NeighborhoodMatrix, d: int) -> np.ndarray:
@@ -194,17 +239,18 @@ def ldr_weights(Xi: NeighborhoodMatrix, d: int) -> np.ndarray:
 
 def assemble_weight_matrix(cloud, graph: NeighborGraph, method: str, *, d: int,
                            delta: float = DEFAULT_DELTA):
-    """Solve per-point weights and assemble the sparse N x N row-stochastic W.
+    """Solve every point's weights and assemble the sparse N x N row-stochastic W.
 
     method is "classical" (ambient-space weights regularized by delta) or
     "ldr" (rank-d representation weights).  Neighborhood spectra are computed
     for every point regardless of method, so callers can report alpha,
-    singular values, radii, and gap warnings; for classical with d >= K the
-    spectra list is empty since no rank split exists.
+    singular values, radii, and gap warnings; for classical with d >= K no
+    rank split exists and the spectra are None.
 
     Returns (W, spectra) with W in CSR format, row i carrying point i's
-    weights on its neighbor columns.  Per-neighborhood failures are re-raised
-    with the offending point index attached.
+    weights on its neighbor columns, and spectra a Spectra record.  A
+    neighborhood failure is raised for the first failing point, with its
+    index attached.
     """
     X = validate_cloud(cloud)
     if method not in ("classical", "ldr"):
@@ -212,24 +258,13 @@ def assemble_weight_matrix(cloud, graph: NeighborGraph, method: str, *, d: int,
     n, K = graph.indices.shape
     if method == "ldr" and not 1 <= d < K:
         raise ValueError(f"rank-d method needs 1 <= d < K = {K}, got d = {d}")
-    with_spectra = 1 <= d < K
-    data = np.empty((n, K))
-    spectra = []
-    for i in range(n):
-        Xi = neighborhood_matrix(X, graph, i)
-        spec = neighborhood_spectrum(Xi, d) if with_spectra else None
-        if spec is not None:
-            spectra.append(spec)
-        try:
-            if method == "ldr":
-                w = ldr_weights_from_spectrum(spec)
-            else:
-                w = lle_weights(Xi, delta)
-        except (SingularNeighborhoodError, DegenerateWeightsError, GeneralPositionError) as exc:
-            exc.point_index = i
-            exc.args = (f"point {i}: {exc.args[0]}",)
-            raise
-        data[i] = w
+    rows = X[graph.indices] - X[:, None, :]
+    U, spectra = _split(rows, d) if 1 <= d < K else (None, None)
+    try:
+        data = _ldr(U[:, :, d:], spectra.alpha) if method == "ldr" else _classical(rows, delta)
+    except _ROW_ERRORS as exc:
+        exc.args = (f"point {exc.point_index}: {exc.args[0]}",)
+        raise
     indptr = np.arange(0, n * K + 1, K)
     W = sparse.csr_matrix((data.ravel(), graph.indices.ravel().copy(), indptr), shape=(n, n))
     return W, spectra
@@ -245,13 +280,8 @@ def save_weight_matrix(W, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def save_spectra(spectra, path) -> None:
-    """Write spectra as CSV rows: center index, lambda_1..lambda_K, alpha, radius."""
-    lines = []
-    for s in spectra:
-        cells = [str(int(s.center_index))]
-        cells.extend(repr(float(v)) for v in s.singular_values)
-        cells.append(repr(float(s.alpha)))
-        cells.append(repr(float(s.radius)))
-        lines.append(",".join(cells))
+def save_spectra(spectra: Spectra, path) -> None:
+    """Write spectra as CSV rows: point index, lambda_1..lambda_K, alpha, radius."""
+    table = np.column_stack([spectra.singular_values, spectra.alpha, spectra.radius])
+    lines = [",".join([str(i), *map(repr, row)]) for i, row in enumerate(table.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -272,6 +272,41 @@ class TestObjectiveValueCommand:
             assert row["null_over_phi"] >= 10.0
         assert "ratio bounded" in capsys.readouterr().out
 
+    def test_bounded_compares_with_the_smallest_n(self, tmp_path):
+        # The verdict must not depend on the order of --n-list.
+        verdicts = []
+        for order in (["500", "1000"], ["1000", "500"]):
+            out = tmp_path / f"sweep-{order[0]}.json"
+            rc = run("theorem2", "--generator", "swissroll", "--n-list", *order,
+                     "--permutations", "2", "--out", str(out))
+            assert rc == 0
+            payload = json.loads(out.read_text())
+            assert [row["n"] for row in payload["rows"]] == [int(n) for n in order]
+            verdicts.append(payload["bounded"])
+        assert verdicts == [True, True]
+
+    def test_planar_input_writes_strict_json(self, tmp_path, capsys):
+        # Planar points reconstruct exactly, so the ratio is undefined: the
+        # sidecar must say null, not NaN, and the console n/a.
+        rng = np.random.default_rng(20260814)
+        coords = rng.normal(size=(40, 2))
+        basis = np.linalg.qr(rng.normal(size=(3, 2)))[0]
+        src = tmp_path / "pts.csv"
+        pre = tmp_path / "pre.csv"
+        save_csv(coords @ basis.T, src)
+        save_csv(coords, pre)
+        out = tmp_path / "r.json"
+        rc = run("theorem2", "--input", str(src), "--preimage", str(pre),
+                 "--k", "8", "--d", "2", "--permutations", "5", "--out", str(out))
+        assert rc == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not valid JSON")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["rows"][0]["ratio"] is None
+        assert "ratio n/a" in capsys.readouterr().out
+
     def test_input_requires_ground_truth(self, tmp_path, capsys):
         src = tmp_path / "pts.csv"
         save_csv(gen_swissroll(60, seed=1).points, src)

@@ -9,6 +9,7 @@ from scipy.linalg import subspace_angles
 
 from ldrlle import (
     DisconnectedGraphError,
+    EigenSolverError,
     assemble_weight_matrix,
     build_m,
     embed,
@@ -214,6 +215,13 @@ class TestEmbed:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             embed(sparse.csr_matrix(np.ones((3, 4))), 1)
+
+    def test_rows_not_summing_to_one_have_no_zero_mode(self, ring16, ring16_graph):
+        # Halving W leaves rows summing to 1/2: the ones vector is no longer
+        # reconstructed, so the constant mode's eigenvalue is far from zero.
+        W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
+        with pytest.raises(EigenSolverError, match="constant-mode eigenvalue .* not near zero"):
+            embed(0.5 * W, 1)
 
     def test_unknown_solver_rejected(self, ring16, ring16_graph):
         W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)

@@ -207,6 +207,17 @@ class TestPinvWeights:
             lle_weights_pinv(h), lle_weights(h, delta=0.0), atol=1e-12
         )
 
+    def test_nearly_planar_cross_keeps_its_small_directions(self):
+        # Lifting the cross off its plane by 1e-8 leaves Gram eigenvalues
+        # near 1e-16, under a pseudo-inverse cutoff taken on G itself, which
+        # then returns weights summing to zero.  Through the rows they are
+        # kept, and the weights match G^-1 1 = R^-T R^-1 1 solved on R.
+        rows = grid_cross_neighborhood().rows.copy()
+        rows[:, 2:] = 1e-8 * np.array([[0.3, -0.5], [0.7, 0.2], [-0.4, 0.6], [0.1, -0.9]])
+        w = lle_weights_pinv(hood(rows))
+        direct = np.linalg.solve(rows.T, np.linalg.solve(rows, np.ones(4)))
+        np.testing.assert_allclose(w, direct / direct.sum(), rtol=1e-6)
+
     def test_unperturbed_cross_is_degenerate(self):
         # The cross's Gram matrix annihilates the ones vector, so the
         # minimum-norm stationary solution sums to zero and has no
@@ -357,22 +368,28 @@ class TestAssembly:
 
     def test_spectra_metadata(self, ring16, ring16_graph):
         _, spectra = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
-        assert [s.center_index for s in spectra] == list(range(16))
-        assert all(s.radius > 0 for s in spectra)
-        assert all(s.alpha < 1.0 for s in spectra)
+        # Row i belongs to point i.
+        for i in range(16):
+            h = neighborhood_matrix(ring16.points, ring16_graph, i)
+            spec = neighborhood_spectrum(h, 1)
+            np.testing.assert_array_equal(spectra.singular_values[i], spec.singular_values)
+            assert spectra.alpha[i] == spec.alpha
+            assert spectra.radius[i] == h.radius
+        assert np.all(spectra.radius > 0)
+        assert np.all(spectra.alpha < 1.0)
 
     def test_swissroll_has_no_general_position_failures(self):
         sample = gen_swissroll(500, seed=0)
         graph = knn(sample.points, 12)
         _, spectra = assemble_weight_matrix(sample.points, graph, "ldr", d=2)
-        assert len(spectra) == 500
-        assert max(s.alpha for s in spectra) < 1.0
+        assert spectra.alpha.shape == (500,)
+        assert spectra.alpha.max() < 1.0
 
     def test_classical_skips_spectra_when_no_split_exists(self, rng):
         X = rng.normal(size=(10, 3))
         graph = knn(X, 2)
         W, spectra = assemble_weight_matrix(X, graph, "classical", d=5)
-        assert spectra == []
+        assert spectra is None
         assert W.shape == (10, 10)
 
     def test_failures_name_the_point(self):
@@ -391,6 +408,59 @@ class TestAssembly:
             assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=4)
         with pytest.raises(ValueError):
             assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=0)
+
+
+@st.composite
+def degenerate_clouds(draw):
+    """Small clouds on an integer grid or a line, so duplicate points,
+    collinear neighborhoods and singular Gram matrices are common; d is
+    often K - 1."""
+    n = draw(st.integers(4, 9))
+    D = draw(st.integers(1, 3))
+    coord = st.integers(-2, 2).map(float)
+    if draw(st.booleans()):
+        X = np.array(draw(st.lists(st.lists(coord, min_size=D, max_size=D),
+                                   min_size=n, max_size=n)))
+    else:
+        t = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+        direction = np.array(draw(st.lists(coord, min_size=D, max_size=D)))
+        X = t[:, None] * direction + 0.5
+    K = draw(st.integers(2, n - 1))
+    d = draw(st.integers(1, K - 1))
+    return X, K, d
+
+
+@pytest.mark.parametrize(
+    "method, delta", [("ldr", DEFAULT_DELTA), ("classical", 1e-9), ("classical", 0.0)]
+)
+@given(degenerate_clouds())
+@settings(max_examples=150, deadline=None)
+def test_assembly_agrees_with_per_point_solves(method, delta, cloud):
+    # Assembly either returns the rows the single-neighborhood solvers return,
+    # or raises the error of the first point whose single solve fails.
+    X, K, d = cloud
+    graph = knn(X, K)
+    expected, failure = [], None
+    for i in range(len(X)):
+        h = neighborhood_matrix(X, graph, i)
+        try:
+            expected.append(ldr_weights(h, d) if method == "ldr" else lle_weights(h, delta))
+        except (SingularNeighborhoodError, DegenerateWeightsError, GeneralPositionError) as exc:
+            failure = (i, exc)
+            break
+    if failure is None:
+        W, _ = assemble_weight_matrix(X, graph, method, d=d, delta=delta)
+        dense = W.toarray()
+        for i, w in enumerate(expected):
+            np.testing.assert_array_equal(dense[i, graph.indices[i]], w)
+        return
+    i, single = failure
+    with pytest.raises(type(single)) as excinfo:
+        assemble_weight_matrix(X, graph, method, d=d, delta=delta)
+    assert excinfo.value.point_index == i
+    assert str(excinfo.value) == f"point {i}: {single}"
+    for attr in ("alpha", "rcond"):
+        assert getattr(excinfo.value, attr, None) == getattr(single, attr, None)
 
 
 class TestWeightSerialization:
@@ -414,4 +484,4 @@ class TestWeightSerialization:
         # center index, 4 singular values, alpha, radius
         assert len(first) == 7
         assert int(first[0]) == 0
-        assert float(first[-1]) == pytest.approx(spectra[0].radius)
+        assert float(first[-1]) == pytest.approx(spectra.radius[0])
