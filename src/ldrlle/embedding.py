@@ -11,18 +11,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg
 
 from .datasets import save_csv
-from .errors import DisconnectedGraphError, EigenSolverError
+from .errors import DisconnectedGraphError, EigenSolverError, LdrLleError
 from .weights import _fix_signs
-
-# At or below this N the dense symmetric solver is used; above it, ARPACK
-# shift-invert.  The two paths agree to 1e-6 on problems where both apply.
-DENSE_CUTOFF = 2048
 
 # An eigenvalue counts as "the zero mode" when it is below this times
 # lambda_max(M) and its eigenvector correlates with the ones vector.
@@ -73,49 +68,35 @@ def _complement_basis(y: np.ndarray) -> np.ndarray:
     return H[:, 1:]
 
 
-def _lambda_max(M) -> float:
+def _bottom_eigenpairs(M, k: int):
+    """The k smallest eigenpairs of M, ascending, and lambda_max(M), by ARPACK.
+
+    The bottom pairs come from shift-invert about zero.  When M is singular to
+    working precision its LU factorization can fail; the solve is then retried
+    about a small negative shift, which keeps M - sigma*I definite.
+    """
     n = M.shape[0]
-    if n <= 64:
-        return float(np.linalg.eigvalsh(M.toarray())[-1])
     # Fixed, non-constant start vector keeps ARPACK deterministic; the
     # constant vector is (near) the null space of M and would stall it.
     v0 = np.cos(np.arange(n))
-    vals = sparse.linalg.eigsh(M, k=1, which="LM", v0=v0, return_eigenvectors=False)
-    return float(vals[0])
-
-
-def _dense_bottom(M, k: int):
-    A = M.toarray()
-    n = A.shape[0]
-    evals, evecs = scipy.linalg.eigh(A, subset_by_index=(0, k - 1))
-    lam_max = float(
-        scipy.linalg.eigh(A, subset_by_index=(n - 1, n - 1), eigvals_only=True)[0]
-    )
-    return evals, evecs, lam_max
-
-
-def _iterative_bottom(M, k: int):
-    n = M.shape[0]
-    lam_max = _lambda_max(M)
-    v0 = np.cos(np.arange(n))
+    A = M.tocsc()
     try:
+        lam_max = float(
+            sparse.linalg.eigsh(M, k=1, which="LM", v0=v0, return_eigenvectors=False)[0]
+        )
         try:
-            evals, evecs = sparse.linalg.eigsh(
-                M.tocsc(), k=k, sigma=0.0, which="LM", v0=v0
-            )
+            evals, evecs = sparse.linalg.eigsh(A, k=k, sigma=0.0, which="LM", v0=v0)
         except RuntimeError:
-            # The factorization of M itself can fail when M is numerically
-            # singular; a small negative shift keeps M - sigma*I definite.
             evals, evecs = sparse.linalg.eigsh(
-                M.tocsc(), k=k, sigma=-1e-6 * lam_max, which="LM", v0=v0
+                A, k=k, sigma=-1e-6 * lam_max, which="LM", v0=v0
             )
     except sparse.linalg.ArpackError as exc:
-        raise EigenSolverError(f"iterative eigensolver failed: {exc}") from exc
+        raise EigenSolverError(f"eigensolver failed: {exc}") from exc
     order = np.argsort(evals, kind="stable")
     return evals[order], evecs[:, order], lam_max
 
 
-def embed(W, d: int, solver: str = "auto") -> Embedding:
+def embed(W, d: int) -> Embedding:
     """Embed into d dimensions from a row-stochastic weight matrix.
 
     Computes the d + 1 smallest eigenpairs of M = (I - W)'(I - W), drops the
@@ -123,16 +104,13 @@ def embed(W, d: int, solver: str = "auto") -> Embedding:
     ascending eigenvalue order with deterministic column signs
     (largest-magnitude entry positive).
 
-    solver is "auto" (dense at or below 2048 points, iterative above),
-    "dense", or "iterative".
-
     Raises
     ------
     DisconnectedGraphError
         when the neighbor graph behind W splits into several components, or
         when more than one near-zero constant-correlated eigenvalue shows up.
     EigenSolverError
-        when the iterative solver fails or no eigenpair looks like the
+        when the eigensolver failed, or no eigenpair looks like the
         constant mode.
     """
     W = sparse.csr_matrix(W)
@@ -155,15 +133,8 @@ def embed(W, d: int, solver: str = "auto") -> Embedding:
         )
 
     M = build_m(W)
-    if solver == "auto":
-        solver = "dense" if n <= DENSE_CUTOFF else "iterative"
     k = min(n - 1, max(d + 1, MIN_SUBSPACE))
-    if solver == "dense":
-        evals, evecs, lam_max = _dense_bottom(M, k)
-    elif solver == "iterative":
-        evals, evecs, lam_max = _iterative_bottom(M, k)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
+    evals, evecs, lam_max = _bottom_eigenpairs(M, k)
 
     lam = np.maximum(evals, 0.0)
     # Remove the constant mode by diagonalizing M restricted to the computed
@@ -195,10 +166,11 @@ def embed(W, d: int, solver: str = "auto") -> Embedding:
     # Candidate columns span the constant-free part of the computed subspace.
     # Eigenvalues are reported as directly evaluated squared residual norms
     # ||(I - W) c||^2 (the Rayleigh quotients): for the tiny eigenvalues that
-    # matter here these beat the dense solver's absolute-precision values,
-    # and they make phi(Y) and the eigenvalue sum agree identically.  The
-    # candidate pool depends on the subspace size, not on d, so smaller-d
-    # output is a prefix of larger-d output for the same W.
+    # matter here these beat the eigensolver's values, which are accurate
+    # only to about machine epsilon times lambda_max, and they make phi(Y)
+    # and the eigenvalue sum agree identically.  The candidate pool depends
+    # on the subspace size, not on d, so smaller-d output is a prefix of
+    # larger-d output for the same W.
     C = evecs @ (Q @ R)
     res = C - W @ C
     mu = (res * res).sum(axis=0)
@@ -231,14 +203,19 @@ def save_embedding(emb: Embedding, path, metadata: dict | None = None) -> None:
     The sidecar carries the kept eigenvalues, the dropped near-zero
     eigenvalue, and any caller-supplied metadata (run configuration,
     diagnostics).  Keys are sorted so identical runs produce identical bytes.
+    The sidecar is strict JSON: a non-finite value raises LdrLleError before
+    either file is written.
     """
-    save_csv(emb.Y, path)
     sidecar = {
         "eigenvalues": [float(v) for v in emb.eigenvalues],
         "dropped_eigenvalue": float(emb.dropped_eigenvalue),
     }
     if metadata:
         sidecar.update(metadata)
-    Path(path).with_suffix(".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
+    sidecar_path = Path(path).with_suffix(".json")
+    try:
+        text = json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise LdrLleError(f"sidecar {sidecar_path} not written: {exc}") from exc
+    save_csv(emb.Y, path)
+    sidecar_path.write_text(text + "\n")

@@ -49,8 +49,7 @@ def knn(cloud, K: int) -> NeighborGraph:
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         d2 = cdist(X[start:stop], X, metric="sqeuclidean")
-        for r in range(stop - start):
-            d2[r, start + r] = np.inf  # exclude self
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf  # exclude self
         order = np.argsort(d2, axis=1, kind="stable")
         indices[start:stop] = order[:, :K]
     return NeighborGraph(indices)

@@ -256,6 +256,8 @@ def assemble_weight_matrix(cloud, graph: NeighborGraph, method: str, *, d: int,
     if method not in ("classical", "ldr"):
         raise ValueError(f"unknown method {method!r}; expected 'classical' or 'ldr'")
     n, K = graph.indices.shape
+    if X.shape[0] != n:
+        raise ValueError(f"cloud has {X.shape[0]} points but the neighbor graph has {n}")
     if method == "ldr" and not 1 <= d < K:
         raise ValueError(f"rank-d method needs 1 <= d < K = {K}, got d = {d}")
     rows = X[graph.indices] - X[:, None, :]

@@ -129,3 +129,10 @@ def phi_row_by_row(Y, W_dense):
         diff = Y[i] - pred
         total += float(diff @ diff)
     return total
+
+
+def dense_bottom_eigenpairs(W_dense, k):
+    """The k smallest eigenpairs of (I - W)'(I - W), from a dense eigh."""
+    A = np.eye(W_dense.shape[0]) - np.asarray(W_dense, dtype=float)
+    evals, evecs = np.linalg.eigh(A.T @ A)
+    return evals[:k], evecs[:, :k]

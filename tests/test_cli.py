@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ldrlle import cli, load_csv, preimage_path, save_csv, save_sample
+from ldrlle import cli, diagnostics, load_csv, preimage_path, save_csv, save_sample
 from ldrlle.datasets import gen_swissroll
 
 
@@ -196,6 +196,20 @@ class TestEmbed:
         assert len(w_lines) == 16 * 4
         spec_lines = (tmp_path / "spec.csv").read_text().splitlines()
         assert len(spec_lines) == 16
+
+    def test_non_finite_sidecar_is_numerical_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(diagnostics, "phi", lambda Y, W: float("nan"))
+        out = tmp_path / "emb.csv"
+        rc = run(
+            "embed", "--generator", "ring", "--n", "16", "--k", "4", "--d", "1",
+            "--method", "ldr", "--out", str(out),
+        )
+        assert rc == 5
+        assert "emb.json" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".json").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []

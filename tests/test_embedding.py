@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from ldrlle import (
@@ -18,7 +21,12 @@ from ldrlle import (
     phi,
     save_embedding,
 )
-from oracles import phi_row_by_row, random_centered_orthonormal, random_orthogonal
+from oracles import (
+    dense_bottom_eigenpairs,
+    phi_row_by_row,
+    random_centered_orthonormal,
+    random_orthogonal,
+)
 
 
 def cycle_weights(n):
@@ -41,6 +49,21 @@ def random_row_stochastic(n, k, rng):
     for i in range(n):
         others = np.delete(np.arange(n), i)
         cols = rng.choice(others, size=k, replace=False)
+        vals = rng.random(k) + 0.1
+        W[i, cols] = vals / vals.sum()
+    return sparse.csr_matrix(W)
+
+
+def strongly_connected_row_stochastic(n, k, rng):
+    """Random positive weights on the edge i -> i + 1 plus k - 1 other columns.
+
+    The cycle edge makes the weight graph strongly connected, so the zero
+    eigenvalue of M is simple.
+    """
+    W = np.zeros((n, n))
+    for i in range(n):
+        others = np.setdiff1d(np.arange(n), [i, (i + 1) % n])
+        cols = np.append(rng.choice(others, size=k - 1, replace=False), (i + 1) % n)
         vals = rng.random(k) + 0.1
         W[i, cols] = vals / vals.sum()
     return sparse.csr_matrix(W)
@@ -180,10 +203,56 @@ class TestEmbed:
         sample = gen_swissroll(600, seed=2)
         graph = knn(sample.points, 12)
         W, _ = assemble_weight_matrix(sample.points, graph, "ldr", d=2)
-        dense = embed(W, 2, solver="dense")
-        iterative = embed(W, 2, solver="iterative")
-        assert np.max(np.abs(dense.eigenvalues - iterative.eigenvalues)) < 1e-6
-        assert np.max(subspace_angles(dense.Y, iterative.Y)) < 1e-6
+        emb = embed(W, 2)
+        evals, evecs = dense_bottom_eigenpairs(W.toarray(), 3)
+        assert np.max(np.abs(emb.eigenvalues - evals[1:])) < 1e-6
+        assert np.max(subspace_angles(emb.Y, evecs[:, 1:])) < 1e-6
+
+    @pytest.mark.parametrize(
+        "W, d, want",
+        [(chain3_weights(), 1, [2.25]), (cycle_weights(6), 2, [0.25, 0.25])],
+        ids=["chain3", "cycle6"],
+    )
+    def test_singular_factorization_takes_the_shifted_retry(self, W, d, want, monkeypatch):
+        # On these small W with exactly representable weights the LU
+        # factorization of the singular M at sigma = 0 fails, so the solve is
+        # repeated about a small negative shift.
+        sigmas = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def recording_eigsh(*args, **kwargs):
+            sigmas.append(kwargs.get("sigma"))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording_eigsh)
+        emb = embed(W, d)
+        assert any(s is not None and s < 0.0 for s in sigmas)
+        np.testing.assert_allclose(emb.eigenvalues, want, atol=1e-12)
+        assert_embedding_contract(emb, W)
+
+    @given(
+        n=st.integers(3, 40),
+        k=st.integers(1, 4),
+        full=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_oracle_on_random_weights(self, n, k, full, seed):
+        W = strongly_connected_row_stochastic(n, min(k, n - 1), np.random.default_rng(seed))
+        d = n - 2 if full else 1
+        emb = embed(W, d)
+        assert_embedding_contract(emb, W)
+        evals, _ = dense_bottom_eigenpairs(W.toarray(), d + 1)
+        assert np.max(np.abs(emb.eigenvalues - evals[1:])) < 1e-10
+
+    def test_eigensolver_failure_is_typed(self, ring16, ring16_graph, monkeypatch):
+        def failing_eigsh(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
+        with pytest.raises(EigenSolverError, match="eigensolver failed"):
+            embed(W, 1)
 
     def test_exact_reconstruction_regime_is_handled(self, rng):
         # Points lying in a plane are reconstructed exactly by ambient-space
@@ -222,11 +291,6 @@ class TestEmbed:
         W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
         with pytest.raises(EigenSolverError, match="constant-mode eigenvalue .* not near zero"):
             embed(0.5 * W, 1)
-
-    def test_unknown_solver_rejected(self, ring16, ring16_graph):
-        W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
-        with pytest.raises(ValueError, match="solver"):
-            embed(W, 1, solver="magic")
 
 
 class TestSaveEmbedding:

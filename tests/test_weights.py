@@ -409,6 +409,13 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=0)
 
+    @pytest.mark.parametrize("n_cloud", [25, 15])
+    def test_cloud_and_graph_sizes_must_match(self, n_cloud, rng):
+        graph = knn(rng.normal(size=(20, 3)), 4)
+        X = rng.normal(size=(n_cloud, 3))
+        with pytest.raises(ValueError, match=f"cloud has {n_cloud} points .* graph has 20"):
+            assemble_weight_matrix(X, graph, "ldr", d=2)
+
 
 @st.composite
 def degenerate_clouds(draw):
