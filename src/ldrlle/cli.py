@@ -288,13 +288,14 @@ def main(argv=None) -> int:
     except GeneralPositionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GENERAL_POSITION
+    except (LdrLleError, np.linalg.LinAlgError) as exc:
+        # Before ValueError, which LinAlgError subclasses.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         # CsvFormatError is a ValueError; missing files land here too.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (LdrLleError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 def run() -> None:

@@ -16,9 +16,9 @@ from scipy.stats import spearmanr
 
 from .embedding import phi
 from .errors import UndefinedCorrelationError
-from .neighbors import NeighborhoodMatrix, knn
-from .weights import _classical, _ldr, _split, _sqnorm
-from .weights import assemble_weight_matrix, neighborhood_spectrum
+from .neighbors import knn
+from .weights import _sqnorm, assemble_weight_matrix, ldr_weights, lle_weights_pinv
+from .weights import neighborhood_spectrum
 
 # Top singular value of the rescaled grid cross; must stay below 1 for the
 # stability bound to apply, and 0.99 keeps all the study epsilons inside the
@@ -29,9 +29,10 @@ DEFAULT_EPSILONS = (1e-2, 1e-4, 1e-6)
 DEFAULT_TRIALS = 1000
 
 
-def reconstruction_error(Xi: NeighborhoodMatrix, w) -> float:
-    """Squared residual ||sum_j w_j (eta_j - x_i)||^2 = w' Xi Xi' w."""
-    rows = np.asarray(Xi.rows, dtype=float)
+def reconstruction_error(rows, w) -> float:
+    """Squared residual ||sum_j w_j (eta_j - x_i)||^2 = w' rows rows' w of a
+    (K, D) neighborhood."""
+    rows = np.asarray(rows, dtype=float)
     w = np.asarray(w, dtype=float)
     if w.shape != (rows.shape[0],):
         raise ValueError(
@@ -63,12 +64,13 @@ def theorem1_bound(lambda_d: float, alpha: float, epsilon: float) -> Optional[fl
     return 20.0 * epsilon / (lambda_d ** 2 * (1.0 - alpha))
 
 
-def grid_cross_neighborhood(lambda1: float = CROSS_LAMBDA1) -> NeighborhoodMatrix:
+def grid_cross_neighborhood(lambda1: float = CROSS_LAMBDA1) -> np.ndarray:
     """The planar grid cross: a grid point's 4 nearest neighbors, centered.
 
     Rows are (+-1, 0, 0, 0) and (0, +-1, 0, 0) rescaled so the top singular
     value is lambda1; K = D = 4, the two non-zero singular values coincide,
-    alpha = 0, and the exact reconstruction weights are uniform.
+    alpha = 0, and the exact reconstruction weights are uniform.  Returns the
+    (4, 4) array of rows.
     """
     if not lambda1 > 0.0:
         raise ValueError(f"lambda1 must be > 0, got {lambda1}")
@@ -78,7 +80,7 @@ def grid_cross_neighborhood(lambda1: float = CROSS_LAMBDA1) -> NeighborhoodMatri
     rows[2, 1] = 1.0
     rows[3, 1] = -1.0
     rows *= lambda1 / np.sqrt(2.0)  # unscaled singular values: sqrt(2), sqrt(2), 0, 0
-    return NeighborhoodMatrix.from_rows(rows)
+    return rows
 
 
 @dataclass
@@ -120,10 +122,9 @@ def perturbation_experiment(epsilons=DEFAULT_EPSILONS, trials: int = DEFAULT_TRI
         seqs = (np.random.SeedSequence([seed, e_idx, t]) for t in range(trials))
         noise = np.stack([np.random.default_rng(q).standard_normal((4, 4)) for q in seqs])
         noise /= np.sqrt(_sqnorm(noise.reshape(trials, 16)))[:, None, None]
-        rows = base.rows + eps * noise
-        w_cl = _classical(rows, 0.0, pinv_singular=True)
-        U, spectra = _split(rows, 2)
-        w_ldr = _ldr(U[:, :, 2:], spectra.alpha)
+        rows = base + eps * noise
+        w_cl = lle_weights_pinv(rows)
+        w_ldr = ldr_weights(rows, 2)
         reports.append(PerturbationReport(
             float(eps), trials, np.sqrt(_sqnorm(w_cl - uniform)),
             np.sqrt(_sqnorm(w_ldr - uniform)), bound,

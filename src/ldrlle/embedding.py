@@ -107,8 +107,10 @@ def embed(W, d: int) -> Embedding:
     Raises
     ------
     DisconnectedGraphError
-        when the neighbor graph behind W splits into several components, or
-        when more than one near-zero constant-correlated eigenvalue shows up.
+        when W has more than one closed class: a strongly connected
+        component of its nonzero pattern that no weight leaves.  Each closed
+        class adds a null vector to I - W, so the zero eigenvalue is not
+        simple; a W that splits into pieces has at least one per piece.
     EigenSolverError
         when the eigensolver failed, or no eigenpair looks like the
         constant mode.
@@ -122,14 +124,15 @@ def embed(W, d: int) -> Embedding:
     if d > n - 2:
         raise ValueError(f"d must be <= N - 2 = {n - 2}, got {d}")
 
-    n_comp = csgraph.connected_components(
-        W, directed=True, connection="weak", return_labels=False
-    )
-    if n_comp > 1:
+    src, dst = W.nonzero()
+    edges = sparse.coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
+    n_comp, labels = csgraph.connected_components(edges, directed=True, connection="strong")
+    closed = n_comp - np.unique(labels[src[labels[src] != labels[dst]]]).size
+    if closed > 1:
         raise DisconnectedGraphError(
-            f"neighbor graph has {n_comp} connected components; "
+            f"neighbor graph has {closed} connected components that no weight leaves; "
             "embed each component separately",
-            n_components=int(n_comp),
+            n_components=int(closed),
         )
 
     M = build_m(W)

@@ -43,8 +43,9 @@ class GeneralPositionError(LdrLleError):
 
 
 class DisconnectedGraphError(LdrLleError):
-    """Neighbor graph has more than one connected component; the zero
-    eigenvalue of the embedding matrix is then not simple."""
+    """Weight graph has more than one closed class (a strongly connected
+    component that no weight leaves); the zero eigenvalue of the embedding
+    matrix is then not simple."""
 
     def __init__(self, message, n_components=None):
         super().__init__(message)

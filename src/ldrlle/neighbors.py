@@ -1,6 +1,5 @@
-"""Exact K-nearest-neighbor graphs and centered neighborhood matrices."""
+"""Exact K-nearest-neighbor graphs."""
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,31 +12,27 @@ from .datasets import validate_cloud
 _CHUNK = 512
 
 
-@dataclass
-class NeighborGraph:
-    """Per-point neighbor lists ordered by increasing Euclidean distance.
+def check_extent(X: np.ndarray) -> None:
+    """Refuse a cloud whose squared distances would overflow.
 
-    indices[i] holds the K nearest neighbors of point i (self excluded);
-    equidistant candidates are broken toward the smaller index.
+    sum_k (max_k - min_k)^2 over the coordinates bounds every squared
+    distance and every centered offset; when it is not finite, distances lose
+    their order and the neighborhood solvers their input.
     """
-
-    indices: np.ndarray  # (N, K) integer
-
-    @property
-    def K(self) -> int:
-        return self.indices.shape[1]
-
-    @property
-    def N(self) -> int:
-        return self.indices.shape[0]
+    with np.errstate(over="ignore"):
+        extent = np.ptp(X, axis=0)
+        if not np.isfinite(extent @ extent):
+            raise ValueError("point cloud spread is too large: squared distances overflow")
 
 
-def knn(cloud, K: int) -> NeighborGraph:
-    """Exact brute-force K-nearest-neighbor graph.
+def knn(cloud, K: int) -> np.ndarray:
+    """Exact brute-force K-nearest-neighbor graph as an (N, K) index array.
 
-    Requires 1 <= K < N.  Distances are squared Euclidean (same ordering as
-    Euclidean, cheaper); ties are resolved toward the smaller index by the
-    stable argsort, so the result is permutation-checkable and deterministic.
+    Row i holds the K nearest neighbors of point i (self excluded) by
+    increasing Euclidean distance.  Requires 1 <= K < N.  Distances are
+    squared Euclidean (same ordering as Euclidean, cheaper); ties are
+    resolved toward the smaller index by the stable argsort, so the result is
+    permutation-checkable and deterministic.
     """
     X = validate_cloud(cloud)
     n = X.shape[0]
@@ -45,6 +40,7 @@ def knn(cloud, K: int) -> NeighborGraph:
         raise ValueError(f"K must be >= 1, got {K}")
     if K >= n:
         raise ValueError(f"K must be < N = {n}, got {K}")
+    check_extent(X)
     indices = np.empty((n, K), dtype=np.intp)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
@@ -52,38 +48,10 @@ def knn(cloud, K: int) -> NeighborGraph:
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf  # exclude self
         order = np.argsort(d2, axis=1, kind="stable")
         indices[start:stop] = order[:, :K]
-    return NeighborGraph(indices)
+    return indices
 
 
-@dataclass
-class NeighborhoodMatrix:
-    """One point's neighborhood, centered on the point: row j is eta_j - x_i."""
-
-    center_index: int
-    rows: np.ndarray  # (K, D)
-    radius: float     # max row norm
-
-    @classmethod
-    def from_rows(cls, rows, center_index: int = -1) -> "NeighborhoodMatrix":
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        radius = float(np.sqrt((rows * rows).sum(axis=1).max()))
-        return cls(center_index, rows, radius)
-
-
-def neighborhood_matrix(cloud, graph: NeighborGraph, i: int) -> NeighborhoodMatrix:
-    """Centered neighborhood of point i, rows in the graph's stored order.
-
-    Zero rows are permitted (duplicate points); downstream solvers decide
-    whether the neighborhood is usable.
-    """
-    X = validate_cloud(cloud)
-    n = X.shape[0]
-    if not 0 <= i < n:
-        raise IndexError(f"point index {i} out of range for N = {n}")
-    return NeighborhoodMatrix.from_rows(X[graph.indices[i]] - X[i], center_index=i)
-
-
-def save_neighbor_graph(graph: NeighborGraph, path) -> None:
-    """Write neighbor indices as integer CSV, one row per point."""
-    lines = [",".join(str(int(j)) for j in row) for row in graph.indices]
+def save_neighbor_graph(graph, path) -> None:
+    """Write an (N, K) neighbor index array as integer CSV, one row per point."""
+    lines = [",".join(str(int(j)) for j in row) for row in np.asarray(graph)]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -10,10 +10,11 @@ regularization, and the weights depend only on the projector onto the
 discarded singular directions, which is well defined whenever the top-d
 spectral gap is.
 
-Every solve is written once, as a kernel over a stack of centered
-neighborhoods `rows` of shape (N, K, D); the single-neighborhood functions
-run the same kernels on a stack of one.  A kernel raises the typed error of
-its first failing row, with the row as point_index.
+A neighborhood is a plain (K, D) array of centered rows eta_j - x_i.  Every
+solve is written once, as a kernel over a stack of such neighborhoods of
+shape (N, K, D); the public solvers take one neighborhood or a stack, and a
+single neighborhood runs as a stack of one.  A kernel raises the typed error
+of its first failing row, with the row as point_index.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ import scipy.sparse as sparse
 
 from .datasets import validate_cloud
 from .errors import DegenerateWeightsError, GeneralPositionError, SingularNeighborhoodError
-from .neighbors import NeighborGraph, NeighborhoodMatrix
+from .neighbors import check_extent
 
 # Regularization scale: the ridge added to the Gram matrix is
 # (delta / K) * trace(G), so it is invariant to input scaling.
@@ -78,10 +79,16 @@ class Spectra:
     d: int
 
 
-def _one(kernel, rows, *args):
-    """Row 0 of a kernel run on a stack of one; its errors name no point."""
+def _per_row(kernel, rows, *args):
+    """A kernel's output on an (N, K, D) stack, or on one (K, D) neighborhood
+    run as a stack of one, whose errors then name no point."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 3:
+        return kernel(rows, *args)
+    if rows.ndim != 2:
+        raise ValueError(f"need one (K, D) neighborhood or an (N, K, D) stack, got {rows.shape}")
     try:
-        return kernel(np.asarray(rows, dtype=float)[None], *args)[0]
+        return kernel(rows[None], *args)[0]
     except _ROW_ERRORS as exc:
         exc.point_index = None
         raise
@@ -117,8 +124,9 @@ def _split(rows: np.ndarray, d: int):
     return U, Spectra(lam, alpha, radius, gap, d)
 
 
-def _ldr(U2: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Stacked w = U2 U2' 1 / (1' U2 U2' 1) from discarded bases (N, K, K - d)."""
+def _ldr(U: np.ndarray, spectra: Spectra) -> np.ndarray:
+    """Stacked w = U2 U2' 1 / (1' U2 U2' 1) from a split's output, U2 = U[:, :, d:]."""
+    U2, alpha = U[:, :, spectra.d:], spectra.alpha
     K = U2.shape[1]
     coef = np.ones(K) @ U2
     denom = _sqnorm(coef)
@@ -180,69 +188,64 @@ def _classical(rows: np.ndarray, delta: float, pinv_singular: bool = False) -> n
     return w / total[:, None]
 
 
-def neighborhood_spectrum(Xi: NeighborhoodMatrix, d: int) -> NeighborhoodSpectrum:
-    """Full SVD split of a neighborhood at rank d (requires 1 <= d < K).
+def neighborhood_spectrum(rows, d: int) -> NeighborhoodSpectrum:
+    """Full SVD split of one (K, D) neighborhood at rank d (requires 1 <= d < K).
 
     Column signs follow the largest-magnitude-entry-positive convention, so
     repeated runs on the same machine agree bit for bit.
     """
-    U, spec = _split(np.asarray(Xi.rows, dtype=float)[None], d)
+    U, spec = _split(np.asarray(rows, dtype=float)[None], d)
     return NeighborhoodSpectrum(spec.singular_values[0], U[0, :, :d], U[0, :, d:],
                                 float(spec.alpha[0]), d, bool(spec.gap_warning[0]))
 
 
-def lle_weights(Xi: NeighborhoodMatrix, delta: float) -> np.ndarray:
+def lle_weights(rows, delta: float) -> np.ndarray:
     """Classical reconstruction weights, optionally regularized.
 
-    Solves (G + delta_eff * I) w = 1 for the Gram matrix G = Xi Xi' and
+    Solves (G + delta_eff * I) w = 1 for the Gram matrix G = rows rows' and
     normalizes w to sum to one, with delta_eff = (delta / K) * trace(G).
     With delta = 0 the Gram matrix must be nonsingular to working precision
     (reciprocal condition number above 1e-12), which fails whenever K > D.
+    rows is one (K, D) neighborhood, giving (K,) weights, or an (N, K, D)
+    stack, giving (N, K).
     """
-    return _one(_classical, Xi.rows, delta)
+    return _per_row(_classical, rows, delta)
 
 
-def lle_weights_pinv(Xi: NeighborhoodMatrix) -> np.ndarray:
+def lle_weights_pinv(rows) -> np.ndarray:
     """Unregularized weights via the pseudo-inverse: G^+ 1, normalized.
 
     Minimum-norm solution of the stationarity equation G w proportional to 1
     (G^-1 1 where G is nonsingular to working precision); used where the
-    exact delta = 0 solution is wanted even when G is singular.
+    exact delta = 0 solution is wanted even when G is singular.  Takes one
+    neighborhood or a stack, as lle_weights does.
     """
-    return _one(_classical, Xi.rows, 0.0, True)
+    return _per_row(_classical, rows, 0.0, True)
 
 
-def ldr_weights_from_spectrum(spec: NeighborhoodSpectrum) -> np.ndarray:
-    """Rank-d representation weights from a precomputed spectrum.
-
-    w = U2 U2' 1 / (1' U2 U2' 1): the unique minimum-norm vector in the span
-    of the discarded singular directions whose entries sum to one.  Raises
-    GeneralPositionError when 1' U2 U2' 1 <= 1e-12 * K, i.e. the ones vector
-    numerically lies inside the retained subspace (alpha = 1).
-    """
-    return _one(_ldr, spec.U2, np.array([spec.alpha]))
-
-
-def ldr_weights(Xi: NeighborhoodMatrix, d: int) -> np.ndarray:
+def ldr_weights(rows, d: int) -> np.ndarray:
     """Weights that reconstruct the center exactly from the rank-d
     approximation of its neighborhood.
 
-    The returned vector lies in the span of the trailing K - d left-singular
-    vectors, sums to one, and among all such vectors has the smallest l2
-    norm.  No regularization parameter exists; when K > D (ambient dimension)
-    the discarded span always contains exact annihilators of the data, so the
+    w = U2 U2' 1 / (1' U2 U2' 1): the unique minimum-norm vector in the span
+    of the discarded K - d left-singular directions whose entries sum to one.
+    No regularization parameter exists; when K > D (ambient dimension) the
+    discarded span always contains exact annihilators of the data, so the
     reconstruction is exact where the classical Gram solve would have needed
-    a ridge.
+    a ridge.  Raises GeneralPositionError when 1' U2 U2' 1 <= 1e-12 * K, i.e.
+    the ones vector numerically lies inside the retained subspace (alpha = 1).
+    Takes one neighborhood or a stack, as lle_weights does.
     """
-    return ldr_weights_from_spectrum(neighborhood_spectrum(Xi, d))
+    return _per_row(lambda stack: _ldr(*_split(stack, d)), rows)
 
 
-def assemble_weight_matrix(cloud, graph: NeighborGraph, method: str, *, d: int,
+def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
                            delta: float = DEFAULT_DELTA):
     """Solve every point's weights and assemble the sparse N x N row-stochastic W.
 
-    method is "classical" (ambient-space weights regularized by delta) or
-    "ldr" (rank-d representation weights).  Neighborhood spectra are computed
+    graph is the (N, K) neighbor index array of knn.  method is "classical"
+    (ambient-space weights regularized by delta) or "ldr" (rank-d
+    representation weights).  Neighborhood spectra are computed
     for every point regardless of method, so callers can report alpha,
     singular values, radii, and gap warnings; for classical with d >= K no
     rank split exists and the spectra are None.
@@ -255,20 +258,22 @@ def assemble_weight_matrix(cloud, graph: NeighborGraph, method: str, *, d: int,
     X = validate_cloud(cloud)
     if method not in ("classical", "ldr"):
         raise ValueError(f"unknown method {method!r}; expected 'classical' or 'ldr'")
-    n, K = graph.indices.shape
+    graph = np.asarray(graph)
+    n, K = graph.shape
     if X.shape[0] != n:
         raise ValueError(f"cloud has {X.shape[0]} points but the neighbor graph has {n}")
     if method == "ldr" and not 1 <= d < K:
         raise ValueError(f"rank-d method needs 1 <= d < K = {K}, got d = {d}")
-    rows = X[graph.indices] - X[:, None, :]
+    check_extent(X)
+    rows = X[graph] - X[:, None, :]
     U, spectra = _split(rows, d) if 1 <= d < K else (None, None)
     try:
-        data = _ldr(U[:, :, d:], spectra.alpha) if method == "ldr" else _classical(rows, delta)
+        data = _ldr(U, spectra) if method == "ldr" else _classical(rows, delta)
     except _ROW_ERRORS as exc:
         exc.args = (f"point {exc.point_index}: {exc.args[0]}",)
         raise
     indptr = np.arange(0, n * K + 1, K)
-    W = sparse.csr_matrix((data.ravel(), graph.indices.ravel().copy(), indptr), shape=(n, n))
+    W = sparse.csr_matrix((data.ravel(), graph.ravel().copy(), indptr), shape=(n, n))
     return W, spectra
 
 

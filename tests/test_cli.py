@@ -211,6 +211,27 @@ class TestEmbed:
         assert not out.exists()
         assert not out.with_suffix(".json").exists()
 
+    def test_linear_algebra_failure_is_numerical(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError but is not a usage problem.
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        rc = run(
+            "embed", "--generator", "ring", "--n", "16", "--k", "4", "--d", "1",
+            "--method", "ldr", "--out", str(tmp_path / "emb.csv"),
+        )
+        assert rc == 5
+        assert "SVD did not converge" in capsys.readouterr().err
+
+    def test_overflowing_coordinates_are_a_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "huge.csv"
+        X = gen_swissroll(40, seed=0).points
+        save_csv(X / np.abs(X).max() * 1e308, src)
+        rc = run("embed", "--input", str(src), "--k", "6", "--out", str(tmp_path / "o.csv"))
+        assert rc == 2
+        assert "overflow" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
         for name in ("a", "b"):

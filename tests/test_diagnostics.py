@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ldrlle import (
-    NeighborhoodMatrix,
     UndefinedCorrelationError,
     assemble_weight_matrix,
     gen_open_ring,
@@ -28,7 +27,7 @@ from oracles import random_centered_orthonormal, random_orthogonal
 
 class TestReconstructionError:
     def test_two_neighbor_example(self):
-        h = NeighborhoodMatrix.from_rows([[1.0, 0.0], [0.0, 2.0]])
+        h = np.array([[1.0, 0.0], [0.0, 2.0]])
         # Residual vector 0.8*(1,0) + 0.2*(0,2) = (0.8, 0.4); squared norm 0.8.
         assert reconstruction_error(h, np.array([0.8, 0.2])) == pytest.approx(0.8)
 
@@ -40,12 +39,12 @@ class TestReconstructionError:
         rows = rng.normal(size=(5, 3))
         w = rng.normal(size=5)
         w /= w.sum()
-        base = reconstruction_error(NeighborhoodMatrix.from_rows(rows), w)
-        scaled = reconstruction_error(NeighborhoodMatrix.from_rows(3.0 * rows), w)
+        base = reconstruction_error(rows, w)
+        scaled = reconstruction_error(3.0 * rows, w)
         assert scaled == pytest.approx(9.0 * base, rel=1e-12)
 
     def test_shape_mismatch(self):
-        h = NeighborhoodMatrix.from_rows([[1.0, 0.0], [0.0, 2.0]])
+        h = np.array([[1.0, 0.0], [0.0, 2.0]])
         with pytest.raises(ValueError):
             reconstruction_error(h, np.ones(3))
 
@@ -78,12 +77,12 @@ class TestStabilityBound:
 class TestGridCross:
     def test_geometry(self):
         cross = grid_cross_neighborhood()
-        assert cross.rows.shape == (4, 4)
+        assert cross.shape == (4, 4)
         s = 0.99 / np.sqrt(2.0)
         want = np.zeros((4, 4))
         want[0, 0], want[1, 0], want[2, 1], want[3, 1] = s, -s, s, -s
-        np.testing.assert_allclose(cross.rows, want, atol=1e-15)
-        assert cross.radius == pytest.approx(s)
+        np.testing.assert_allclose(cross, want, atol=1e-15)
+        assert np.sqrt((cross * cross).sum(axis=1).max()) == pytest.approx(s)
 
     def test_scale_validation(self):
         with pytest.raises(ValueError):

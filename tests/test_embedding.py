@@ -274,6 +274,18 @@ class TestEmbed:
             embed(W, 1)
         assert excinfo.value.n_components == 2
 
+    def test_two_closed_classes_reported(self):
+        # Two 2-cycles that no weight leaves, joined only by points that put
+        # weight into both: weakly connected, yet I - W has two null vectors.
+        W = np.zeros((7, 7))
+        W[0, 1] = W[1, 0] = W[2, 3] = W[3, 2] = 1.0
+        W[4, [0, 2]] = 0.5
+        W[5, [1, 3]] = [0.3, 0.7]
+        W[6, [4, 5]] = 0.5
+        with pytest.raises(DisconnectedGraphError) as excinfo:
+            embed(sparse.csr_matrix(W), 2)
+        assert excinfo.value.n_components == 2
+
     def test_dimension_validation(self, ring16, ring16_graph):
         W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
         with pytest.raises(ValueError, match=">= 1"):

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from ldrlle import (
-    NeighborhoodMatrix,
-    gen_swissroll,
-    knn,
-    neighborhood_matrix,
-    save_neighbor_graph,
-)
+from ldrlle import assemble_weight_matrix, gen_swissroll, knn, save_neighbor_graph
 from oracles import brute_force_knn, random_orthogonal
 
 
@@ -17,17 +11,17 @@ class TestKnn:
     def test_three_points_on_a_line_single_neighbor(self):
         X = np.array([[0.0], [1.0], [3.0]])
         graph = knn(X, 1)
-        np.testing.assert_array_equal(graph.indices, [[1], [0], [1]])
+        np.testing.assert_array_equal(graph, [[1], [0], [1]])
 
     def test_three_points_on_a_line_two_neighbors(self):
         X = np.array([[0.0], [1.0], [3.0]])
         graph = knn(X, 2)
-        np.testing.assert_array_equal(graph.indices, [[1, 2], [0, 2], [1, 0]])
+        np.testing.assert_array_equal(graph, [[1, 2], [0, 2], [1, 0]])
 
     def test_ties_break_toward_smaller_index(self):
         square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         graph = knn(square, 2)
-        np.testing.assert_array_equal(graph.indices, [[1, 2], [0, 3], [0, 3], [1, 2]])
+        np.testing.assert_array_equal(graph, [[1, 2], [0, 3], [0, 3], [1, 2]])
 
     def test_matches_brute_force_on_ring(self, ring16):
         # Mirror-image pairs on the uniform ring are equidistant in exact
@@ -37,45 +31,44 @@ class TestKnn:
         graph = knn(ring16.points, 4)
         expected = brute_force_knn(ring16.points, 4)
         np.testing.assert_array_equal(
-            np.sort(graph.indices, axis=1), np.sort(expected, axis=1)
+            np.sort(graph, axis=1), np.sort(expected, axis=1)
         )
 
     def test_matches_brute_force_on_random_cloud(self, rng):
         X = rng.normal(size=(120, 3))
         graph = knn(X, 7)
-        np.testing.assert_array_equal(graph.indices, brute_force_knn(X, 7))
+        np.testing.assert_array_equal(graph, brute_force_knn(X, 7))
 
     def test_ring_neighborhoods_stay_on_the_arc(self, ring16, ring16_graph):
         # No neighbor list may jump the opening: indices stay within 4 arc steps.
-        offsets = np.abs(ring16_graph.indices - np.arange(16)[:, None])
+        offsets = np.abs(ring16_graph - np.arange(16)[:, None])
         assert offsets.max() == 4
 
     def test_self_never_included(self, rng):
         X = rng.normal(size=(40, 2))
         graph = knn(X, 5)
-        assert not np.any(graph.indices == np.arange(40)[:, None])
+        assert not np.any(graph == np.arange(40)[:, None])
 
     def test_rotation_translation_invariance(self, rng):
         X = rng.normal(size=(80, 3))
         R = random_orthogonal(3, rng)
         shift = rng.normal(size=3)
         moved = X @ R + shift
-        np.testing.assert_array_equal(knn(X, 6).indices, knn(moved, 6).indices)
+        np.testing.assert_array_equal(knn(X, 6), knn(moved, 6))
 
     def test_relabeling_equivariance(self, rng):
         X = rng.normal(size=(50, 2))
         perm = rng.permutation(50)
         inv = np.empty(50, dtype=np.intp)
         inv[perm] = np.arange(50)
-        base = knn(X, 3).indices
-        shuffled = knn(X[perm], 3).indices
+        base = knn(X, 3)
+        shuffled = knn(X[perm], 3)
         np.testing.assert_array_equal(perm[shuffled[inv]], base)
 
     def test_shape_properties(self, rng):
         X = rng.normal(size=(30, 4))
         graph = knn(X, 9)
-        assert graph.N == 30
-        assert graph.K == 9
+        assert graph.shape == (30, 9)
 
     def test_k_bounds(self):
         X = np.eye(3)
@@ -84,38 +77,34 @@ class TestKnn:
         with pytest.raises(ValueError, match="< N"):
             knn(X, 3)
 
+    def test_overflowing_squared_distances_rejected(self, rng):
+        # Finite coordinates whose squared distances are all inf would leave
+        # every row with the lowest indices, in index order.
+        X = 1e160 * rng.normal(size=(20, 3))
+        with pytest.raises(ValueError, match="overflow"):
+            knn(X, 4)
+
     def test_chunked_path_matches_oracle(self, rng):
         # More points than one distance chunk holds, so the sweep wraps.
         X = rng.normal(size=(530, 2))
         graph = knn(X, 3)
-        np.testing.assert_array_equal(graph.indices, brute_force_knn(X, 3))
+        np.testing.assert_array_equal(graph, brute_force_knn(X, 3))
 
 
 class TestNeighborhoodMatrix:
     def test_rows_are_centered_differences(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         graph = knn(X, 2)
-        hood = neighborhood_matrix(X, graph, 0)
-        assert hood.center_index == 0
-        np.testing.assert_array_equal(hood.rows, [[1.0, 0.0], [0.0, 2.0]])
-        assert hood.radius == 2.0
+        hood = X[graph[0]] - X[0]
+        np.testing.assert_array_equal(hood, [[1.0, 0.0], [0.0, 2.0]])
+        _, spectra = assemble_weight_matrix(X, graph, "ldr", d=1)
+        assert spectra.radius[0] == 2.0
 
     def test_duplicate_point_yields_zero_row(self):
         X = np.array([[1.0, 1.0], [1.0, 1.0], [3.0, 0.0]])
         graph = knn(X, 1)
-        hood = neighborhood_matrix(X, graph, 0)
-        np.testing.assert_array_equal(hood.rows, [[0.0, 0.0]])
-
-    def test_out_of_range_index(self):
-        X = np.eye(3)
-        graph = knn(X, 1)
-        with pytest.raises(IndexError):
-            neighborhood_matrix(X, graph, 3)
-
-    def test_from_rows_radius(self):
-        hood = NeighborhoodMatrix.from_rows([[3.0, 4.0], [1.0, 0.0]])
-        assert hood.radius == 5.0
-        assert hood.center_index == -1
+        hood = X[graph[0]] - X[0]
+        np.testing.assert_array_equal(hood, [[0.0, 0.0]])
 
 
 class TestSerialization:
@@ -132,4 +121,4 @@ class TestSerialization:
         path = tmp_path / "nbrs.csv"
         save_neighbor_graph(graph, path)
         back = np.loadtxt(path, delimiter=",", dtype=np.intp)
-        np.testing.assert_array_equal(back, graph.indices)
+        np.testing.assert_array_equal(back, graph)

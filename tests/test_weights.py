@@ -10,17 +10,14 @@ from ldrlle import (
     DEFAULT_DELTA,
     DegenerateWeightsError,
     GeneralPositionError,
-    NeighborhoodMatrix,
     SingularNeighborhoodError,
     assemble_weight_matrix,
     gen_swissroll,
     grid_cross_neighborhood,
     knn,
     ldr_weights,
-    ldr_weights_from_spectrum,
     lle_weights,
     lle_weights_pinv,
-    neighborhood_matrix,
     neighborhood_spectrum,
     save_spectra,
     save_weight_matrix,
@@ -36,7 +33,7 @@ from oracles import (
 
 
 def hood(rows):
-    return NeighborhoodMatrix.from_rows(np.asarray(rows, dtype=float))
+    return np.asarray(rows, dtype=float)
 
 
 def random_hood(rng, K, D):
@@ -212,7 +209,7 @@ class TestPinvWeights:
         # near 1e-16, under a pseudo-inverse cutoff taken on G itself, which
         # then returns weights summing to zero.  Through the rows they are
         # kept, and the weights match G^-1 1 = R^-T R^-1 1 solved on R.
-        rows = grid_cross_neighborhood().rows.copy()
+        rows = grid_cross_neighborhood()
         rows[:, 2:] = 1e-8 * np.array([[0.3, -0.5], [0.7, 0.2], [-0.4, 0.6], [0.1, -0.9]])
         w = lle_weights_pinv(hood(rows))
         direct = np.linalg.solve(rows.T, np.linalg.solve(rows, np.ones(4)))
@@ -251,7 +248,7 @@ class TestRankDWeights:
             d = int(rng.integers(1, min(K, D)))
             rows = rng.normal(size=(K, D))
             spec = neighborhood_spectrum(hood(rows), d)
-            w = ldr_weights_from_spectrum(spec)
+            w = ldr_weights(hood(rows), d)
             retained = rank_d_truncation(rows, d)
             assert np.linalg.norm(w @ retained) < 1e-8 * spec.singular_values[0]
 
@@ -261,8 +258,9 @@ class TestRankDWeights:
             K = int(rng.integers(3, 9))
             D = int(rng.integers(2, 6))
             d = int(rng.integers(1, min(K, D)))
-            spec = neighborhood_spectrum(random_hood(rng, K, D), d)
-            w = ldr_weights_from_spectrum(spec)
+            h = random_hood(rng, K, D)
+            spec = neighborhood_spectrum(h, d)
+            w = ldr_weights(h, d)
             for v in feasible_in_discarded_span(spec.U2, 5, rng):
                 assert np.linalg.norm(w) <= np.linalg.norm(v) + 1e-8
             count += 1
@@ -276,7 +274,7 @@ class TestRankDWeights:
             d = int(rng.integers(1, min(K, D)))
             h = random_hood(rng, K, D)
             spec = neighborhood_spectrum(h, d)
-            w = ldr_weights_from_spectrum(spec)
+            w = ldr_weights(h, d)
             tail = spec.singular_values[d]
             bound = tail**2 * float(w @ w) + 1e-10
             assert reconstruction_error(h, w) <= bound
@@ -353,12 +351,12 @@ class TestAssembly:
             )
             dense = W.toarray()
             for i in range(16):
-                h = neighborhood_matrix(ring16.points, ring16_graph, i)
+                h = ring16.points[ring16_graph[i]] - ring16.points[i]
                 if method == "classical":
                     w = lle_weights(h, delta=1e-9)
                 else:
                     w = ldr_weights(h, 1)
-                np.testing.assert_array_equal(dense[i, ring16_graph.indices[i]], w)
+                np.testing.assert_array_equal(dense[i, ring16_graph[i]], w)
 
     def test_diagonal_zero_and_row_support(self, ring16, ring16_graph):
         W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
@@ -370,11 +368,11 @@ class TestAssembly:
         _, spectra = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
         # Row i belongs to point i.
         for i in range(16):
-            h = neighborhood_matrix(ring16.points, ring16_graph, i)
+            h = ring16.points[ring16_graph[i]] - ring16.points[i]
             spec = neighborhood_spectrum(h, 1)
             np.testing.assert_array_equal(spectra.singular_values[i], spec.singular_values)
             assert spectra.alpha[i] == spec.alpha
-            assert spectra.radius[i] == h.radius
+            assert spectra.radius[i] == np.sqrt((h * h).sum(axis=1).max())
         assert np.all(spectra.radius > 0)
         assert np.all(spectra.alpha < 1.0)
 
@@ -417,6 +415,17 @@ class TestAssembly:
             assemble_weight_matrix(X, graph, "ldr", d=2)
 
 
+@pytest.mark.parametrize("method", ["classical", "ldr"])
+def test_overflowing_offsets_rejected(method):
+    # Each point gets the points farthest from it along the first axis as
+    # neighbors, so on a cloud spanning +-1e308 some centered offsets overflow
+    # to inf, and the stacked SVD of such neighborhoods does not return.
+    X = np.random.default_rng(0).uniform(-1.0, 1.0, size=(20, 3))
+    far = np.argsort(-np.abs(X[:, None, 0] - X[None, :, 0]), axis=1, kind="stable")
+    with pytest.raises(ValueError, match="overflow"):
+        assemble_weight_matrix(1e308 * X, far[:, :6], method, d=2)
+
+
 @st.composite
 def degenerate_clouds(draw):
     """Small clouds on an integer grid or a line, so duplicate points,
@@ -443,31 +452,43 @@ def degenerate_clouds(draw):
 @given(degenerate_clouds())
 @settings(max_examples=150, deadline=None)
 def test_assembly_agrees_with_per_point_solves(method, delta, cloud):
-    # Assembly either returns the rows the single-neighborhood solvers return,
-    # or raises the error of the first point whose single solve fails.
+    # Assembly and the solvers run on the whole stack of neighborhoods either
+    # return the rows the single-neighborhood solvers return, or raise the
+    # error of the first point whose single solve fails.
     X, K, d = cloud
     graph = knn(X, K)
+    rows = X[graph] - X[:, None]
+
+    def solve(h):
+        return ldr_weights(h, d) if method == "ldr" else lle_weights(h, delta)
+
     expected, failure = [], None
     for i in range(len(X)):
-        h = neighborhood_matrix(X, graph, i)
         try:
-            expected.append(ldr_weights(h, d) if method == "ldr" else lle_weights(h, delta))
+            expected.append(solve(rows[i]))
         except (SingularNeighborhoodError, DegenerateWeightsError, GeneralPositionError) as exc:
             failure = (i, exc)
             break
     if failure is None:
         W, _ = assemble_weight_matrix(X, graph, method, d=d, delta=delta)
         dense = W.toarray()
+        stacked = solve(rows)
         for i, w in enumerate(expected):
-            np.testing.assert_array_equal(dense[i, graph.indices[i]], w)
+            np.testing.assert_array_equal(dense[i, graph[i]], w)
+            np.testing.assert_array_equal(stacked[i], w)
         return
     i, single = failure
+    assert single.point_index is None
     with pytest.raises(type(single)) as excinfo:
         assemble_weight_matrix(X, graph, method, d=d, delta=delta)
     assert excinfo.value.point_index == i
     assert str(excinfo.value) == f"point {i}: {single}"
+    with pytest.raises(type(single)) as stacked:
+        solve(rows)
+    assert stacked.value.point_index == i
     for attr in ("alpha", "rcond"):
         assert getattr(excinfo.value, attr, None) == getattr(single, attr, None)
+        assert getattr(stacked.value, attr, None) == getattr(single, attr, None)
 
 
 class TestWeightSerialization:
