@@ -64,6 +64,9 @@ def cmd_embed(args) -> int:
     W, spectra = weights.assemble_weight_matrix(
         X, graph, args.method, d=args.d, delta=args.delta
     )
+    if args.dump_spectra is not None and spectra is None:
+        raise ValueError(f"--dump-spectra needs a rank-d split (1 <= d < K = {args.k}), "
+                         f"got d = {args.d}")
     emb = embedding.embed(W, args.d)
     diag = diagnostics.linear_projection_diagnostic(
         X, emb.Y, weights=W, preimage=preimage
@@ -102,7 +105,7 @@ def cmd_embed(args) -> int:
         neighbors.save_neighbor_graph(graph, args.dump_neighbors)
     if args.dump_weights is not None:
         weights.save_weight_matrix(W, args.dump_weights)
-    if args.dump_spectra is not None and spectra is not None:
+    if args.dump_spectra is not None:
         weights.save_spectra(spectra, args.dump_spectra)
     print(
         f"wrote {args.out} ({X.shape[0]} x {args.d}), "
@@ -154,6 +157,7 @@ def cmd_perturb(args) -> int:
 def cmd_theorem2(args) -> int:
     if args.generator is not None:
         samples = (datasets.generate(args.generator, n, args.seed) for n in args.n_list)
+        pairs = ((sample.points, sample.preimage) for sample in samples)
     elif args.preimage is None:
         print(
             "error: --input requires --preimage: the objective-value check "
@@ -162,15 +166,16 @@ def cmd_theorem2(args) -> int:
         )
         return EXIT_USAGE
     else:
-        X, Z = _load_points(args)
-        samples = [datasets.GeneratedSample(X, Z, str(args.input), args.seed)]
+        pairs = [_load_points(args)]
     rows = []
-    for sample in samples:
-        result = diagnostics.theorem2_check(sample, args.k, args.d)
+    for X, Z in pairs:
+        graph = neighbors.knn(X, args.k)
+        W, spectra = weights.assemble_weight_matrix(X, graph, "ldr", d=args.d)
+        result = diagnostics.theorem2_check_from_parts(Z, W, spectra)
         null = diagnostics.permuted_preimage_null(
-            result.W, sample.preimage, permutations=args.permutations, seed=args.seed
+            W, Z, permutations=args.permutations, seed=args.seed
         )
-        rows.append(_theorem2_row(sample.points.shape[0], result, null))
+        rows.append(_theorem2_row(X.shape[0], result, null))
 
     bounded = None
     if len(rows) > 1:

@@ -46,8 +46,6 @@ class GeneratedSample:
 
     points: np.ndarray    # (N, D)
     preimage: np.ndarray  # (N, d)
-    generator_name: str
-    seed: int
 
 
 def gen_open_ring(n: int) -> GeneratedSample:
@@ -60,7 +58,7 @@ def gen_open_ring(n: int) -> GeneratedSample:
         raise ValueError(f"open ring needs n >= 3, got {n}")
     theta = np.linspace(0.0, RING_ARC, n)
     points = np.column_stack([np.cos(theta), np.sin(theta)])
-    return GeneratedSample(points, theta[:, None].copy(), "ring", 0)
+    return GeneratedSample(points, theta[:, None].copy())
 
 
 def scurve_map(t, h) -> np.ndarray:
@@ -88,7 +86,7 @@ def gen_scurve(n: int, seed: int = 0) -> GeneratedSample:
     uv = _rng(seed).random((n, 2))
     t = 3.0 * np.pi * (uv[:, 0] - 0.5)
     h = 2.0 * uv[:, 1]
-    return GeneratedSample(scurve_map(t, h), np.column_stack([t, h]), "scurve", seed)
+    return GeneratedSample(scurve_map(t, h), np.column_stack([t, h]))
 
 
 def gen_swissroll(n: int, seed: int = 0) -> GeneratedSample:
@@ -102,7 +100,7 @@ def gen_swissroll(n: int, seed: int = 0) -> GeneratedSample:
     uv = _rng(seed).random((n, 2))
     t = 1.5 * np.pi * (1.0 + 2.0 * uv[:, 0])
     h = 21.0 * uv[:, 1]
-    return GeneratedSample(swissroll_map(t, h), np.column_stack([t, h]), "swissroll", seed)
+    return GeneratedSample(swissroll_map(t, h), np.column_stack([t, h]))
 
 
 GENERATORS = {

@@ -7,7 +7,7 @@ statistics used to compare embeddings against ground truth (affine-fit R^2,
 Procrustes residual, rank correlation).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -16,9 +16,7 @@ from scipy.stats import spearmanr
 
 from .embedding import phi
 from .errors import UndefinedCorrelationError
-from .neighbors import knn
-from .weights import _sqnorm, assemble_weight_matrix, ldr_weights, lle_weights_pinv
-from .weights import neighborhood_spectrum
+from .weights import _sqnorm, ldr_weights, lle_weights_pinv, neighborhood_spectrum
 
 # Top singular value of the rescaled grid cross; must stay below 1 for the
 # stability bound to apply, and 0.99 keeps all the study epsilons inside the
@@ -182,15 +180,16 @@ class Theorem2Result:
     max_lambda_dp1: float
     r_max: float
     ratio: float
-    W: object = field(repr=False)  # the weights phi was evaluated under
 
 
 def theorem2_check_from_parts(preimage, W, spectra) -> Theorem2Result:
-    """Evaluate the objective-value check from an assembled weight matrix.
+    """Objective value of the ground-truth preimage under assembled rank-d weights.
 
-    The tail counts as vanished when the largest discarded singular value
-    is within TAIL_VANISH_REL of the largest retained one; an exact-zero
-    test would miss data that is rank d up to rounding.
+    For a well-sampled smooth sheet the ratio stays bounded as n grows; that
+    boundedness is the check.  The tail counts as vanished when the largest
+    discarded singular value is within TAIL_VANISH_REL of the largest
+    retained one; an exact-zero test would miss data that is rank d up to
+    rounding.
     """
     n = W.shape[0]
     phi_z = phi(preimage, W) / n
@@ -201,20 +200,7 @@ def theorem2_check_from_parts(preimage, W, spectra) -> Theorem2Result:
         ratio = float("nan")
     else:
         ratio = phi_z / (max_tail * r_max ** 2)
-    return Theorem2Result(phi_z, max_tail, r_max, ratio, W)
-
-
-def theorem2_check(sample, K: int, d: int) -> Theorem2Result:
-    """Objective value of the ground-truth preimage under rank-d weights.
-
-    Builds the K-neighbor graph and rank-d weight matrix on the embedded
-    points, then evaluates the reconstruction objective on the sample's
-    preimage parameters.  For a well-sampled smooth sheet the ratio stays
-    bounded as n grows; that boundedness is the check.
-    """
-    graph = knn(sample.points, K)
-    W, spectra = assemble_weight_matrix(sample.points, graph, "ldr", d=d)
-    return theorem2_check_from_parts(sample.preimage, W, spectra)
+    return Theorem2Result(phi_z, max_tail, r_max, ratio)
 
 
 def permuted_preimage_null(W, preimage, permutations: int = 20, seed: int = 0) -> float:

@@ -207,7 +207,8 @@ def save_embedding(emb: Embedding, path, metadata: dict | None = None) -> None:
     eigenvalue, and any caller-supplied metadata (run configuration,
     diagnostics).  Keys are sorted so identical runs produce identical bytes.
     The sidecar is strict JSON: a non-finite value raises LdrLleError before
-    either file is written.
+    either file is written.  A path ending in ".json" is its own sidecar path
+    and raises ValueError, also before any write.
     """
     sidecar = {
         "eigenvalues": [float(v) for v in emb.eigenvalues],
@@ -216,6 +217,8 @@ def save_embedding(emb: Embedding, path, metadata: dict | None = None) -> None:
     if metadata:
         sidecar.update(metadata)
     sidecar_path = Path(path).with_suffix(".json")
+    if sidecar_path == Path(path):
+        raise ValueError(f"embedding path {path} is its own sidecar path; use another suffix")
     try:
         text = json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:

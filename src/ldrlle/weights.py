@@ -243,9 +243,9 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
                            delta: float = DEFAULT_DELTA):
     """Solve every point's weights and assemble the sparse N x N row-stochastic W.
 
-    graph is the (N, K) neighbor index array of knn.  method is "classical"
-    (ambient-space weights regularized by delta) or "ldr" (rank-d
-    representation weights).  Neighborhood spectra are computed
+    graph is the (N, K) neighbor index array of knn, integers in [0, N).
+    method is "classical" (ambient-space weights regularized by delta) or
+    "ldr" (rank-d representation weights).  Neighborhood spectra are computed
     for every point regardless of method, so callers can report alpha,
     singular values, radii, and gap warnings; for classical with d >= K no
     rank split exists and the spectra are None.
@@ -262,6 +262,12 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     n, K = graph.shape
     if X.shape[0] != n:
         raise ValueError(f"cloud has {X.shape[0]} points but the neighbor graph has {n}")
+    if not np.issubdtype(graph.dtype, np.integer):
+        raise ValueError(f"neighbor graph must hold integer indices, got dtype {graph.dtype}")
+    outside = ((graph < 0) | (graph >= n)).any(axis=1)
+    if outside.any():
+        raise ValueError(f"neighbor graph row {int(np.argmax(outside))} has an index "
+                         f"outside [0, {n})")
     if method == "ldr" and not 1 <= d < K:
         raise ValueError(f"rank-d method needs 1 <= d < K = {K}, got d = {d}")
     check_extent(X)

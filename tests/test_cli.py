@@ -197,6 +197,26 @@ class TestEmbed:
         spec_lines = (tmp_path / "spec.csv").read_text().splitlines()
         assert len(spec_lines) == 16
 
+    def test_json_output_is_refused_before_its_sidecar_overwrites_it(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        rc = run(
+            "embed", "--generator", "ring", "--n", "16", "--k", "4", "--d", "1",
+            "--out", str(out),
+        )
+        assert rc == 2
+        assert "x.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spectra_dump_without_a_rank_split_is_refused(self, tmp_path, capsys):
+        rc = run(
+            "embed", "--generator", "ring", "--n", "16", "--k", "2", "--d", "3",
+            "--method", "classical", "--out", str(tmp_path / "emb.csv"),
+            "--dump-spectra", str(tmp_path / "spec.csv"),
+        )
+        assert rc == 2
+        assert "--dump-spectra" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_sidecar_is_numerical_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -375,6 +395,36 @@ class TestObjectiveValueCommand:
         rc = run("theorem2", "--input", str(src), "--preimage", str(pre),
                  "--k", "8", "--out", str(tmp_path / "r.json"))
         assert rc == 2
+
+    def test_general_position_exit_code(self, tmp_path, capsys):
+        src = tmp_path / "dup.csv"
+        pre = tmp_path / "pre.csv"
+        save_csv(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [5.0, 5.0]]), src)
+        save_csv(np.arange(4.0)[:, None], pre)
+        out = tmp_path / "r.json"
+        rc = run("theorem2", "--input", str(src), "--preimage", str(pre),
+                 "--k", "2", "--d", "1", "--out", str(out))
+        assert rc == 4
+        assert "point 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["generator", "input"])
+    def test_byte_identical_reruns(self, tmp_path, capsys, source):
+        if source == "generator":
+            argv = ["--generator", "swissroll", "--n-list", "150", "300"]
+        else:
+            sample = gen_swissroll(150, seed=2)
+            save_csv(sample.points, tmp_path / "pts.csv")
+            save_csv(sample.preimage, tmp_path / "pre.csv")
+            argv = ["--input", str(tmp_path / "pts.csv"), "--preimage", str(tmp_path / "pre.csv")]
+        outs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            rc = run("theorem2", *argv, "--permutations", "5", "--seed", "3", "--out", str(out))
+            assert rc == 0
+            # The reports differ only in the recorded output path.
+            outs.append((out.read_bytes().replace(name.encode(), b""), capsys.readouterr().out))
+        assert outs[0] == outs[1]
 
 
 class TestTopLevel:

@@ -19,7 +19,6 @@ from ldrlle import (
     procrustes_residual,
     reconstruction_error,
     theorem1_bound,
-    theorem2_check,
     theorem2_check_from_parts,
 )
 from oracles import random_centered_orthonormal, random_orthogonal
@@ -154,11 +153,11 @@ class TestPerturbationExperiment:
 class TestObjectiveValueCheck:
     def test_ring_preimage_beats_permuted_null(self):
         sample = gen_open_ring(64)
-        result = theorem2_check(sample, 4, 1)
+        graph = knn(sample.points, 4)
+        W, spectra = assemble_weight_matrix(sample.points, graph, "ldr", d=1)
+        result = theorem2_check_from_parts(sample.preimage, W, spectra)
         assert np.isfinite(result.ratio)
         assert result.phi_z_over_n > 0.0
-        graph = knn(sample.points, 4)
-        W, _ = assemble_weight_matrix(sample.points, graph, "ldr", d=1)
         null = permuted_preimage_null(W, sample.preimage, permutations=20, seed=0)
         assert null >= 10.0 * result.phi_z_over_n
 

@@ -414,6 +414,19 @@ class TestAssembly:
         with pytest.raises(ValueError, match=f"cloud has {n_cloud} points .* graph has 20"):
             assemble_weight_matrix(X, graph, "ldr", d=2)
 
+    @pytest.mark.parametrize("bad", [-1, 20])
+    def test_out_of_range_neighbor_index_rejected(self, bad, rng):
+        X = rng.normal(size=(20, 3))
+        graph = knn(X, 4)
+        graph[[3, 7], 0] = bad
+        with pytest.raises(ValueError, match=r"row 3 has an index outside \[0, 20\)"):
+            assemble_weight_matrix(X, graph, "ldr", d=2)
+
+    def test_non_integer_neighbor_graph_rejected(self, rng):
+        X = rng.normal(size=(20, 3))
+        with pytest.raises(ValueError, match="integer indices, got dtype float64"):
+            assemble_weight_matrix(X, knn(X, 4).astype(float), "classical", d=2)
+
 
 @pytest.mark.parametrize("method", ["classical", "ldr"])
 def test_overflowing_offsets_rejected(method):
