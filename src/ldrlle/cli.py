@@ -5,7 +5,7 @@ neighbor graph, 4 general-position violation, 5 numerical failure.
 """
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -24,10 +24,6 @@ EXIT_GENERAL_POSITION = 4
 EXIT_NUMERICAL = 5
 
 
-def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
-
-
 def cmd_generate(args) -> int:
     sample = datasets.generate(args.name, args.n, args.seed)
     out = args.out if args.out is not None else Path(f"{args.name}.csv")
@@ -37,11 +33,19 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _generated(args, n):
+    """Points and preimage of the --generator sample of size n."""
+    if args.preimage is not None:
+        raise ValueError("--preimage applies only with --input: "
+                         "a generated sample carries its own preimage")
+    sample = datasets.generate(args.generator, n, args.seed)
+    return sample.points, sample.preimage
+
+
 def _load_points(args):
     """Points plus (preimage or None) from --input or --generator."""
     if args.generator is not None:
-        sample = datasets.generate(args.generator, args.n, args.seed)
-        return sample.points, sample.preimage
+        return _generated(args, args.n)
     X = datasets.load_csv(args.input)
     preimage = None
     pre_path = args.preimage
@@ -126,7 +130,7 @@ def cmd_perturb(args) -> int:
         "output": str(args.out),
     }
     payload = diagnostics.perturbation_report_dict(reports, config=config)
-    _write_json(args.out, payload)
+    Path(args.out).write_text(embedding._json_text(payload, args.out))
     if args.csv is not None:
         lines = ["epsilon,trial,classical,ldr"]
         for r in reports:
@@ -156,15 +160,12 @@ def cmd_perturb(args) -> int:
 
 def cmd_theorem2(args) -> int:
     if args.generator is not None:
-        samples = (datasets.generate(args.generator, n, args.seed) for n in args.n_list)
-        pairs = ((sample.points, sample.preimage) for sample in samples)
+        pairs = (_generated(args, n) for n in args.n_list)
     elif args.preimage is None:
-        print(
-            "error: --input requires --preimage: the objective-value check "
-            "scores ground-truth parameters, which an arbitrary CSV does not carry",
-            file=sys.stderr,
+        raise ValueError(
+            "--input requires --preimage: the objective-value check "
+            "scores ground-truth parameters, which an arbitrary CSV does not carry"
         )
-        return EXIT_USAGE
     else:
         pairs = [_load_points(args)]
     rows = []
@@ -193,7 +194,8 @@ def cmd_theorem2(args) -> int:
         "permutations": args.permutations,
         "output": str(args.out),
     }
-    _write_json(args.out, {"config": config, "rows": rows, "bounded": bounded})
+    report = {"config": config, "rows": rows, "bounded": bounded}
+    Path(args.out).write_text(embedding._json_text(report, args.out))
     for r in rows:
         ratio = "n/a" if r["ratio"] is None else f"{r['ratio']:.3e}"
         null_over_phi = "n/a" if r["null_over_phi"] is None else f"{r['null_over_phi']:.1f}"
@@ -207,17 +209,15 @@ def cmd_theorem2(args) -> int:
 
 
 def _theorem2_row(n, result, null) -> dict:
-    return {
-        "n": int(n),
-        "phi_z_over_n": result.phi_z_over_n,
-        "max_lambda_dp1": result.max_lambda_dp1,
-        "r_max": result.r_max,
-        # Strict JSON: an undefined ratio or a quotient over a zero objective is null.
-        "ratio": result.ratio if np.isfinite(result.ratio) else None,
-        "null_phi_z_over_n": null,
-        "null_over_phi": (null / result.phi_z_over_n
-                          if result.phi_z_over_n > 0.0 else None),
-    }
+    row = dataclasses.asdict(result)
+    # Strict JSON: an undefined ratio or a quotient over a zero objective is null.
+    row.update(
+        n=int(n),
+        ratio=result.ratio if np.isfinite(result.ratio) else None,
+        null_phi_z_over_n=null,
+        null_over_phi=null / result.phi_z_over_n if result.phi_z_over_n > 0.0 else None,
+    )
+    return row
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -54,8 +54,8 @@ def theorem1_bound(lambda_d: float, alpha: float, epsilon: float) -> Optional[fl
         raise ValueError(f"lambda_d must be > 0, got {lambda_d}")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     limit = min(lambda_d ** 4, lambda_d ** 2 * (1.0 - alpha)) / 72.0
     if not epsilon < limit:
         return None
@@ -114,8 +114,8 @@ def perturbation_experiment(epsilons=DEFAULT_EPSILONS, trials: int = DEFAULT_TRI
     lam_d = float(spec.singular_values[1])
     reports = []
     for e_idx, eps in enumerate(epsilons):
-        if not eps > 0.0:
-            raise ValueError(f"epsilon must be > 0, got {eps}")
+        if not 0.0 < eps < np.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {eps}")
         bound = theorem1_bound(lam_d, spec.alpha, eps)
         seqs = (np.random.SeedSequence([seed, e_idx, t]) for t in range(trials))
         noise = np.stack([np.random.default_rng(q).standard_normal((4, 4)) for q in seqs])
@@ -240,10 +240,12 @@ def linear_r2(X, Y) -> float:
         Y = Y[:, None]
     if X.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise ValueError(f"X shape {X.shape} does not match Y shape {Y.shape}")
-    A = np.column_stack([X, np.ones(X.shape[0])])
-    coef, *_ = np.linalg.lstsq(A, Y, rcond=None)
-    resid = Y - A @ coef
+    # Centring replaces the ones column, whose scale against X's would
+    # otherwise decide which columns lstsq's rank cutoff drops.
+    Xc = X - X.mean(axis=0)
     Yc = Y - Y.mean(axis=0)
+    coef, *_ = np.linalg.lstsq(Xc, Yc, rcond=None)
+    resid = Yc - Xc @ coef
     denom = float((Yc * Yc).sum())
     if denom == 0.0:
         raise ValueError("output has zero variance; affine fit undefined")

@@ -57,21 +57,10 @@ def build_m(W) -> sparse.csr_matrix:
     return ((M + M.T) * 0.5).tocsr()
 
 
-def _complement_basis(y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of unit vector y, via Householder."""
-    k = y.size
-    s = 1.0 if y[0] >= 0.0 else -1.0
-    v = y.copy()
-    v[0] += s
-    v /= np.linalg.norm(v)
-    H = np.eye(k) - 2.0 * np.outer(v, v)
-    return H[:, 1:]
+def _bottom_subspace(M, k: int):
+    """Orthonormal basis of M's k-dim bottom eigenspace, and lambda_max(M), by ARPACK.
 
-
-def _bottom_eigenpairs(M, k: int):
-    """The k smallest eigenpairs of M, ascending, and lambda_max(M), by ARPACK.
-
-    The bottom pairs come from shift-invert about zero.  When M is singular to
+    The bottom basis comes from shift-invert about zero.  When M is singular to
     working precision its LU factorization can fail; the solve is then retried
     about a small negative shift, which keeps M - sigma*I definite.
     """
@@ -85,24 +74,23 @@ def _bottom_eigenpairs(M, k: int):
             sparse.linalg.eigsh(M, k=1, which="LM", v0=v0, return_eigenvectors=False)[0]
         )
         try:
-            evals, evecs = sparse.linalg.eigsh(A, k=k, sigma=0.0, which="LM", v0=v0)
+            _, basis = sparse.linalg.eigsh(A, k=k, sigma=0.0, which="LM", v0=v0)
         except RuntimeError:
-            evals, evecs = sparse.linalg.eigsh(
+            _, basis = sparse.linalg.eigsh(
                 A, k=k, sigma=-1e-6 * lam_max, which="LM", v0=v0
             )
     except sparse.linalg.ArpackError as exc:
         raise EigenSolverError(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(evals, kind="stable")
-    return evals[order], evecs[:, order], lam_max
+    return basis, lam_max
 
 
 def embed(W, d: int) -> Embedding:
     """Embed into d dimensions from a row-stochastic weight matrix.
 
-    Computes the d + 1 smallest eigenpairs of M = (I - W)'(I - W), drops the
-    near-zero pair aligned with the ones vector, and returns the rest in
-    ascending eigenvalue order with deterministic column signs
-    (largest-magnitude entry positive).
+    Computes the bottom eigenspace of M = (I - W)'(I - W), drops its
+    ones-aligned near-zero direction, diagonalizes M on the rest, and returns
+    the d smallest pairs in ascending eigenvalue order with deterministic
+    column signs (largest-magnitude entry positive).
 
     Raises
     ------
@@ -137,44 +125,39 @@ def embed(W, d: int) -> Embedding:
 
     M = build_m(W)
     k = min(n - 1, max(d + 1, MIN_SUBSPACE))
-    evals, evecs, lam_max = _bottom_eigenpairs(M, k)
+    basis, lam_max = _bottom_subspace(M, k)
 
-    lam = np.maximum(evals, 0.0)
-    # Remove the constant mode by diagonalizing M restricted to the computed
-    # bottom subspace intersected with the complement of the ones vector.
-    # With a simple, well-separated zero eigenvalue this reduces to dropping
-    # the near-zero ones-aligned pair; when exact reconstruction makes the
-    # bottom cluster numerically degenerate (the linear-projection regime,
-    # where coordinate modes join the constant at working precision), it
-    # still yields centered output and the correct residual subspace.
-    u = np.full(n, 1.0 / np.sqrt(n))
-    y = evecs.T @ u
-    captured = float(np.linalg.norm(y))
+    # Remove the constant mode and rotate the rest by one Rayleigh-Ritz step
+    # with M applied through W: G's first column is the ones-aligned direction
+    # of the computed subspace and the others span its complement there, so
+    # R = (I - W) G yields both the dropped residual and G1'M G1 = R1'R1.
+    # Nothing depends on ARPACK's eigenvalues, which are accurate only to
+    # about machine epsilon times lambda_max: when exact reconstruction makes
+    # the bottom cluster numerically degenerate (the linear-projection
+    # regime), they would set the output rotation by rounding, not by W.
+    y = basis.T @ np.full(n, 1.0 / np.sqrt(n))
+    _, (captured,), Vt = np.linalg.svd(y[None, :])
     if captured < ONES_CORR_MIN:
         raise EigenSolverError(
             f"the constant mode is missing from the computed bottom subspace "
             f"(captured fraction {captured:.3f}); the eigensolve looks unreliable"
         )
-    ones_dir = evecs @ (y / captured)
-    r = ones_dir - W @ ones_dir
-    dropped = float(r @ r)
+    G = basis @ Vt.T
+    R = G - W @ G
+    dropped = float(R[:, 0] @ R[:, 0])
     if dropped >= ZERO_EIG_REL * lam_max:
         raise EigenSolverError(
             f"constant-mode eigenvalue {dropped:.3e} is not near zero "
             f"(lambda_max = {lam_max:.3e}); weight rows may not sum to one"
         )
-    Q = _complement_basis(y / captured)
-    S = (Q.T * lam) @ Q
-    _, R = np.linalg.eigh((S + S.T) * 0.5)
+    _, V = np.linalg.eigh(R[:, 1:].T @ R[:, 1:])
     # Candidate columns span the constant-free part of the computed subspace.
     # Eigenvalues are reported as directly evaluated squared residual norms
-    # ||(I - W) c||^2 (the Rayleigh quotients): for the tiny eigenvalues that
-    # matter here these beat the eigensolver's values, which are accurate
-    # only to about machine epsilon times lambda_max, and they make phi(Y)
-    # and the eigenvalue sum agree identically.  The candidate pool depends
-    # on the subspace size, not on d, so smaller-d output is a prefix of
-    # larger-d output for the same W.
-    C = evecs @ (Q @ R)
+    # ||(I - W) c||^2 (the Rayleigh quotients), so phi(Y) and the eigenvalue
+    # sum agree identically.  The candidate pool depends on the subspace
+    # size, not on d, so smaller-d output is a prefix of larger-d output for
+    # the same W.
+    C = G[:, 1:] @ V
     res = C - W @ C
     mu = (res * res).sum(axis=0)
     order = np.argsort(mu, kind="stable")[:d]
@@ -219,9 +202,16 @@ def save_embedding(emb: Embedding, path, metadata: dict | None = None) -> None:
     sidecar_path = Path(path).with_suffix(".json")
     if sidecar_path == Path(path):
         raise ValueError(f"embedding path {path} is its own sidecar path; use another suffix")
-    try:
-        text = json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise LdrLleError(f"sidecar {sidecar_path} not written: {exc}") from exc
+    text = _json_text(sidecar, sidecar_path)
     save_csv(emb.Y, path)
-    sidecar_path.write_text(text + "\n")
+    sidecar_path.write_text(text)
+
+
+def _json_text(payload, path) -> str:
+    """Strict JSON for the file at path: indent 2, sorted keys, so identical runs
+    give identical bytes.  A non-finite value raises LdrLleError naming the file,
+    before anything is written."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise LdrLleError(f"{path} not written: {exc}") from exc

@@ -231,6 +231,15 @@ class TestEmbed:
         assert not out.exists()
         assert not out.with_suffix(".json").exists()
 
+    def test_preimage_with_a_generator_is_refused(self, tmp_path, capsys):
+        rc = run(
+            "embed", "--generator", "ring", "--n", "16", "--k", "4", "--d", "1",
+            "--preimage", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "emb.csv"),
+        )
+        assert rc == 2
+        assert "--preimage" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_linear_algebra_failure_is_numerical(self, tmp_path, capsys, monkeypatch):
         # LinAlgError subclasses ValueError but is not a usage problem.
         def failing_svd(*args, **kwargs):
@@ -307,6 +316,13 @@ class TestPerturb:
                  "--out", str(tmp_path / "r.json"))
         assert rc == 2
 
+    def test_infinite_epsilon_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        rc = run("perturb", "--epsilons", "inf", "--trials", "3", "--out", str(out))
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_trials(self, tmp_path):
         rc = run("perturb", "--trials", "0", "--out", str(tmp_path / "r.json"))
         assert rc == 2
@@ -369,6 +385,28 @@ class TestObjectiveValueCommand:
                  "--out", str(tmp_path / "r.json"))
         assert rc == 2
         assert "--preimage" in capsys.readouterr().err
+
+    def test_preimage_with_a_generator_is_refused(self, tmp_path, capsys):
+        rc = run(
+            "theorem2", "--generator", "ring", "--n-list", "48", "--k", "4", "--d", "1",
+            "--preimage", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "r.json"),
+        )
+        assert rc == 2
+        assert "--preimage" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_report_is_numerical_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            diagnostics, "permuted_preimage_null", lambda *args, **kwargs: float("nan")
+        )
+        out = tmp_path / "r.json"
+        rc = run("theorem2", "--generator", "ring", "--n-list", "48", "--k", "4",
+                 "--d", "1", "--permutations", "2", "--out", str(out))
+        assert rc == 5
+        assert "r.json" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_input_with_ground_truth(self, tmp_path):
         sample = gen_swissroll(150, seed=2)

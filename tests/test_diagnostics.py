@@ -1,12 +1,18 @@
 """Verification harnesses: stability study, objective-value checks, quality metrics."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ldrlle import (
     UndefinedCorrelationError,
     assemble_weight_matrix,
+    embed,
     gen_open_ring,
+    gen_swissroll,
     grid_cross_neighborhood,
     knn,
     linear_projection_diagnostic,
@@ -22,6 +28,14 @@ from ldrlle import (
     theorem2_check_from_parts,
 )
 from oracles import random_centered_orthonormal, random_orthogonal
+
+
+@functools.cache
+def swissroll_rank2_embedding():
+    """Swiss roll (n = 600, seed 3) and its rank-2 weight embedding at K = 10."""
+    X = gen_swissroll(600, seed=3).points
+    W, _ = assemble_weight_matrix(X, knn(X, 10), "ldr", d=2)
+    return X, embed(W, 2).Y
 
 
 class TestReconstructionError:
@@ -71,6 +85,11 @@ class TestStabilityBound:
             theorem1_bound(0.5, -0.1, 1e-4)
         with pytest.raises(ValueError):
             theorem1_bound(0.5, 0.5, 0.0)
+
+    @pytest.mark.parametrize("epsilon", [np.inf, np.nan])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="finite"):
+            theorem1_bound(0.5, 0.5, epsilon)
 
 
 class TestGridCross:
@@ -230,6 +249,22 @@ class TestLinearR2:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
             linear_r2(rng.normal(size=(10, 2)), rng.normal(size=(11, 2)))
+
+    @given(
+        k=st.integers(-500, 500),
+        offset=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+    )
+    @example(k=-500, offset=[1e6, -1e6, 1e6])
+    @example(k=500, offset=[-1e6, 1e6, -1e6])
+    @example(k=-47, offset=[0.0, 0.0, 0.0])
+    @example(k=47, offset=[0.0, 0.0, 0.0])
+    @settings(max_examples=50, deadline=None)
+    def test_invariant_under_binary_scaling_and_offset(self, k, offset):
+        # X -> 2^k (X + offset * spread) is an affine map of the input, so the
+        # best affine fit to Y explains the same variance.
+        X, Y = swissroll_rank2_embedding()
+        moved = np.ldexp(X + np.array(offset) * np.ptp(X, axis=0), k)
+        assert linear_r2(moved, Y) == pytest.approx(linear_r2(X, Y), abs=1e-9)
 
 
 class TestProcrustesResidual:

@@ -16,6 +16,7 @@ from ldrlle import (
     assemble_weight_matrix,
     build_m,
     embed,
+    gen_scurve,
     gen_swissroll,
     knn,
     phi,
@@ -244,6 +245,31 @@ class TestEmbed:
         assert_embedding_contract(emb, W)
         evals, _ = dense_bottom_eigenpairs(W.toarray(), d + 1)
         assert np.max(np.abs(emb.eigenvalues - evals[1:])) < 1e-10
+
+    @pytest.mark.parametrize(
+        "generator, seed", [(gen_scurve, 0), (gen_swissroll, 8)], ids=["scurve", "swissroll"]
+    )
+    def test_classical_output_does_not_depend_on_the_start_vector(
+        self, generator, seed, monkeypatch
+    ):
+        # Classical weights reconstruct these sheets exactly, so the bottom of
+        # M is a cluster of eigenvalues at rounding level.  The output must be
+        # fixed by W, not by where ARPACK starts its iteration.
+        X = generator(600, seed=seed).points
+        W, _ = assemble_weight_matrix(X, knn(X, 12), "classical", d=2)
+        first = embed(W, 2)
+        starts = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def restarted_eigsh(A, *args, **kwargs):
+            kwargs["v0"] = np.sin(1.7 * np.arange(A.shape[0])) + 0.3
+            starts.append(kwargs["v0"])
+            return eigsh(A, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", restarted_eigsh)
+        second = embed(W, 2)
+        assert starts
+        assert np.min(np.cos(subspace_angles(first.Y, second.Y))) >= 0.999
 
     def test_eigensolver_failure_is_typed(self, ring16, ring16_graph, monkeypatch):
         def failing_eigsh(*args, **kwargs):
