@@ -45,7 +45,7 @@ def _generated(args, n):
 def _load_points(args):
     """Points plus (preimage or None) from --input or --generator."""
     if args.generator is not None:
-        return _generated(args, args.n)
+        return _generated(args, 2000 if args.n is None else args.n)
     X = datasets.load_csv(args.input)
     preimage = None
     pre_path = args.preimage
@@ -63,6 +63,8 @@ def _load_points(args):
 
 
 def cmd_embed(args) -> int:
+    if args.input is not None and args.n is not None:
+        raise ValueError("--n applies only with --generator: an --input CSV sets its size")
     X, preimage = _load_points(args)
     graph = neighbors.knn(X, args.k)
     W, spectra = weights.assemble_weight_matrix(
@@ -130,16 +132,12 @@ def cmd_perturb(args) -> int:
         "output": str(args.out),
     }
     payload = diagnostics.perturbation_report_dict(reports, config=config)
-    Path(args.out).write_text(embedding._json_text(payload, args.out))
+    datasets.write_json(payload, args.out)
     if args.csv is not None:
-        lines = ["epsilon,trial,classical,ldr"]
-        for r in reports:
-            for t in range(r.trials):
-                lines.append(
-                    f"{r.epsilon!r},{t},"
-                    f"{r.distances_classical[t]!r},{r.distances_ldr[t]!r}"
-                )
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        datasets.write_rows([("epsilon", "trial", "classical", "ldr")] + [
+            (r.epsilon, t, *pair) for r in reports for t, pair in
+            enumerate(np.column_stack([r.distances_classical, r.distances_ldr]).tolist())
+        ], args.csv)
 
     total_violations = 0
     for row in payload["reports"]:
@@ -160,7 +158,9 @@ def cmd_perturb(args) -> int:
 
 def cmd_theorem2(args) -> int:
     if args.generator is not None:
-        pairs = (_generated(args, n) for n in args.n_list)
+        pairs = (_generated(args, n) for n in args.n_list or (500, 1000, 2000))
+    elif args.n_list is not None:
+        raise ValueError("--n-list applies only with --generator: an --input CSV sets its size")
     elif args.preimage is None:
         raise ValueError(
             "--input requires --preimage: the objective-value check "
@@ -195,7 +195,7 @@ def cmd_theorem2(args) -> int:
         "output": str(args.out),
     }
     report = {"config": config, "rows": rows, "bounded": bounded}
-    Path(args.out).write_text(embedding._json_text(report, args.out))
+    datasets.write_json(report, args.out)
     for r in rows:
         ratio = "n/a" if r["ratio"] is None else f"{r['ratio']:.3e}"
         null_over_phi = "n/a" if r["null_over_phi"] is None else f"{r['null_over_phi']:.1f}"
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", type=Path, help="points CSV (headerless)")
     src.add_argument("--generator", choices=sorted(datasets.GENERATORS))
-    p.add_argument("--n", type=int, default=2000, help="sample size with --generator")
+    p.add_argument("--n", type=int, help="sample size with --generator (default 2000)")
     p.add_argument("--k", type=int, default=12, help="neighbors per point (default 12)")
     p.add_argument("--d", type=int, default=2, help="output dimension (default 2)")
     p.add_argument("--method", choices=("classical", "ldr"), default="ldr")
@@ -270,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--generator", choices=sorted(datasets.GENERATORS))
     src.add_argument("--input", type=Path, help="points CSV (needs --preimage)")
     p.add_argument("--preimage", type=Path, help="ground-truth parameter CSV")
-    p.add_argument("--n-list", type=int, nargs="+", default=[500, 1000, 2000],
-                   dest="n_list", help="sample sizes with --generator")
+    p.add_argument("--n-list", type=int, nargs="+", dest="n_list",
+                   help="sample sizes with --generator (default 500 1000 2000)")
     p.add_argument("--k", type=int, default=12)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)

@@ -1,4 +1,4 @@
-"""Synthetic manifold samples and headerless-CSV point-cloud I/O.
+"""Synthetic manifold samples, and the package's CSV and JSON file formats.
 
 Every generator returns the embedded sample together with its ground-truth
 low-dimensional parameters (the preimage), so an embedding can later be
@@ -7,12 +7,13 @@ generator seeded per call; uniform variates are PCG64's native 53-bit-mantissa
 doubles, so a given (n, seed) pair reproduces bit-identically across runs.
 """
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CsvFormatError
+from .errors import CsvFormatError, LdrLleError
 
 # The open ring spans 270 degrees.  The 90-degree gap is larger than four
 # point spacings at n = 16, so Euclidean neighborhoods (K <= 4) never jump
@@ -117,15 +118,32 @@ def generate(name: str, n: int, seed: int = 0) -> GeneratedSample:
     return GENERATORS[name](n, seed)
 
 
+def write_rows(rows, path) -> None:
+    """One comma-joined line per row: the writer of every CSV file in the package.
+
+    Rows hold Python scalars (from .tolist()), whose str is the shortest
+    round-trip repr; a numpy 2 scalar's str is "np.float64(...)" instead."""
+    Path(path).write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+
+
+def write_json(payload, path) -> None:
+    """Write payload as strict JSON: indent 2, sorted keys, so identical runs give
+    identical bytes.  A non-finite value raises LdrLleError naming the file,
+    before anything is written."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise LdrLleError(f"{path} not written: {exc}") from exc
+    Path(path).write_text(text)
+
+
 def save_csv(cloud, path) -> None:
     """Write a point cloud as headerless CSV.
 
     Cells use repr of the float, the shortest string that round-trips, so a
     save/load cycle reproduces the array exactly.
     """
-    arr = validate_cloud(cloud)
-    lines = [",".join(repr(float(v)) for v in row) for row in arr]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_rows(validate_cloud(cloud).tolist(), path)
 
 
 def load_csv(path) -> np.ndarray:

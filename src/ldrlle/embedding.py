@@ -6,7 +6,6 @@ minimizer is read off the bottom eigenvectors of M = (I - W)'(I - W), with the
 constant near-zero mode dropped.
 """
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,8 +14,8 @@ import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg
 
-from .datasets import save_csv
-from .errors import DisconnectedGraphError, EigenSolverError, LdrLleError
+from .datasets import validate_cloud, write_json, write_rows
+from .errors import DisconnectedGraphError, EigenSolverError
 from .weights import _fix_signs
 
 # An eigenvalue counts as "the zero mode" when it is below this times
@@ -47,14 +46,13 @@ class Embedding:
 
 
 def build_m(W) -> sparse.csr_matrix:
-    """M = (I - W)'(I - W) in CSR form, explicitly symmetrized against roundoff."""
+    """M = (I - W)'(I - W) in CSR form."""
     W = sparse.csr_matrix(W)
     n = W.shape[0]
     if W.shape[1] != n:
         raise ValueError(f"W must be square, got shape {W.shape}")
     A = sparse.eye(n, format="csr") - W
-    M = (A.T @ A).tocsr()
-    return ((M + M.T) * 0.5).tocsr()
+    return (A.T @ A).tocsr()
 
 
 def _bottom_subspace(M, k: int):
@@ -202,16 +200,6 @@ def save_embedding(emb: Embedding, path, metadata: dict | None = None) -> None:
     sidecar_path = Path(path).with_suffix(".json")
     if sidecar_path == Path(path):
         raise ValueError(f"embedding path {path} is its own sidecar path; use another suffix")
-    text = _json_text(sidecar, sidecar_path)
-    save_csv(emb.Y, path)
-    sidecar_path.write_text(text)
-
-
-def _json_text(payload, path) -> str:
-    """Strict JSON for the file at path: indent 2, sorted keys, so identical runs
-    give identical bytes.  A non-finite value raises LdrLleError naming the file,
-    before anything is written."""
-    try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise LdrLleError(f"{path} not written: {exc}") from exc
+    Y = validate_cloud(emb.Y)
+    write_json(sidecar, sidecar_path)
+    write_rows(Y.tolist(), path)

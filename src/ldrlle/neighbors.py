@@ -1,11 +1,9 @@
 """Exact K-nearest-neighbor graphs."""
 
-from pathlib import Path
-
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .datasets import validate_cloud
+from .datasets import validate_cloud, write_rows
 
 # Row-chunk size for the pairwise-distance sweep; bounds peak memory at about
 # CHUNK * N doubles without changing results.
@@ -53,5 +51,4 @@ def knn(cloud, K: int) -> np.ndarray:
 
 def save_neighbor_graph(graph, path) -> None:
     """Write an (N, K) neighbor index array as integer CSV, one row per point."""
-    lines = [",".join(str(int(j)) for j in row) for row in np.asarray(graph)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_rows(np.asarray(graph).tolist(), path)

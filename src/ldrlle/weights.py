@@ -18,12 +18,11 @@ of its first failing row, with the row as point_index.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sparse
 
-from .datasets import validate_cloud
+from .datasets import validate_cloud, write_rows
 from .errors import DegenerateWeightsError, GeneralPositionError, SingularNeighborhoodError
 from .neighbors import check_extent
 
@@ -147,8 +146,8 @@ def _classical(rows: np.ndarray, delta: float, pinv_singular: bool = False) -> n
     With delta = 0, a row whose Gram matrix is singular to working precision
     is refused, or with pinv_singular gets the pseudo-inverse solution G^+ 1.
     """
-    if delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     n, K = rows.shape[:2]
     G = rows @ rows.transpose(0, 2, 1)
     trace = np.trace(G, axis1=1, axis2=2)
@@ -286,15 +285,10 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
 def save_weight_matrix(W, path) -> None:
     """Write W as coordinate-format text: one "i,j,value" line per entry."""
     coo = sparse.coo_matrix(W)
-    lines = [
-        f"{int(i)},{int(j)},{repr(float(v))}"
-        for i, j, v in zip(coo.row, coo.col, coo.data)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_rows(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()), path)
 
 
 def save_spectra(spectra: Spectra, path) -> None:
     """Write spectra as CSV rows: point index, lambda_1..lambda_K, alpha, radius."""
     table = np.column_stack([spectra.singular_values, spectra.alpha, spectra.radius])
-    lines = [",".join([str(i), *map(repr, row)]) for i, row in enumerate(table.tolist())]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_rows(([i, *row] for i, row in enumerate(table.tolist())), path)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ldrlle import cli, diagnostics, load_csv, preimage_path, save_csv, save_sample
+from ldrlle import assemble_weight_matrix, knn
 from ldrlle.datasets import gen_swissroll
 
 
@@ -197,6 +198,55 @@ class TestEmbed:
         spec_lines = (tmp_path / "spec.csv").read_text().splitlines()
         assert len(spec_lines) == 16
 
+    @pytest.mark.parametrize("method", ["classical", "ldr"])
+    def test_dumps_read_back_exactly(self, tmp_path, method):
+        X = gen_swissroll(300, seed=5).points
+        src = tmp_path / "pts.csv"
+        save_csv(X, src)
+        rc = run(
+            "embed", "--input", str(src), "--k", "8", "--method", method,
+            "--out", str(tmp_path / "emb.csv"),
+            "--dump-neighbors", str(tmp_path / "nbrs.csv"),
+            "--dump-weights", str(tmp_path / "w.csv"),
+            "--dump-spectra", str(tmp_path / "spec.csv"),
+        )
+        assert rc == 0
+        graph = knn(X, 8)
+        W, spectra = assemble_weight_matrix(X, graph, method, d=2)
+        coo = W.tocoo()
+        np.testing.assert_array_equal(
+            np.loadtxt(tmp_path / "nbrs.csv", delimiter=",", dtype=graph.dtype), graph, strict=True
+        )
+        np.testing.assert_array_equal(
+            np.loadtxt(tmp_path / "w.csv", delimiter=","),
+            np.column_stack([coo.row, coo.col, coo.data]), strict=True,
+        )
+        np.testing.assert_array_equal(
+            np.loadtxt(tmp_path / "spec.csv", delimiter=","),
+            np.column_stack([np.arange(300), spectra.singular_values,
+                             spectra.alpha, spectra.radius]),
+            strict=True,
+        )
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_is_a_usage_error(self, tmp_path, capsys, delta):
+        rc = run(
+            "embed", "--generator", "swissroll", "--n", "300", "--method", "classical",
+            "--delta", delta, "--out", str(tmp_path / "emb.csv"),
+        )
+        assert rc == 2
+        assert "delta" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_size_with_an_input_is_refused(self, tmp_path, capsys):
+        src = tmp_path / "pts.csv"
+        save_csv(gen_swissroll(60, seed=1).points, src)
+        rc = run("embed", "--input", str(src), "--n", "50", "--k", "8",
+                 "--out", str(tmp_path / "emb.csv"))
+        assert rc == 2
+        assert "--n" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["pts.csv"]
+
     def test_json_output_is_refused_before_its_sidecar_overwrites_it(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         rc = run(
@@ -311,6 +361,21 @@ class TestPerturb:
         assert lines[0] == "epsilon,trial,classical,ldr"
         assert len(lines) == 1 + 2 * 4
 
+    def test_raw_distance_dump_reads_back_exactly(self, tmp_path):
+        csv = tmp_path / "raw.csv"
+        rc = run(
+            "perturb", "--trials", "4", "--epsilons", "1e-2", "1e-4", "--seed", "3",
+            "--out", str(tmp_path / "report.json"), "--csv", str(csv),
+        )
+        assert rc == 0
+        reports = diagnostics.perturbation_experiment(epsilons=[1e-2, 1e-4], trials=4, seed=3)
+        want = np.array([
+            [r.epsilon, t, c, l] for r in reports
+            for t, (c, l) in enumerate(zip(r.distances_classical, r.distances_ldr))
+        ])
+        np.testing.assert_array_equal(np.loadtxt(csv, delimiter=",", skiprows=1), want,
+                                      strict=True)
+
     def test_invalid_epsilon(self, tmp_path):
         rc = run("perturb", "--epsilons", "-1.0", "--trials", "3",
                  "--out", str(tmp_path / "r.json"))
@@ -394,6 +459,17 @@ class TestObjectiveValueCommand:
         assert rc == 2
         assert "--preimage" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_sizes_with_an_input_are_refused(self, tmp_path, capsys):
+        sample = gen_swissroll(80, seed=2)
+        src, pre = tmp_path / "pts.csv", tmp_path / "pre.csv"
+        save_csv(sample.points, src)
+        save_csv(sample.preimage, pre)
+        rc = run("theorem2", "--input", str(src), "--preimage", str(pre),
+                 "--n-list", "50", "60", "--k", "8", "--out", str(tmp_path / "r.json"))
+        assert rc == 2
+        assert "--n-list" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pre.csv", "pts.csv"]
 
     def test_non_finite_report_is_numerical_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch

@@ -93,6 +93,19 @@ class TestBuildM:
         M = build_m(W).toarray()
         assert np.max(np.abs(M - M.T)) < 1e-12
 
+    @given(n=st.integers(2, 40), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_exactly_symmetric_with_unsorted_column_indices(self, n, k, seed):
+        # (A'A)_ij and (A'A)_ji are the same sum over k in the same order, so M
+        # is symmetric bit for bit without a symmetrization step, whatever the
+        # order of W's column indices within a row.
+        rng = np.random.default_rng(seed)
+        W = random_row_stochastic(n, min(k, n - 1), rng)
+        shuffle = np.argsort(np.repeat(np.arange(n), np.diff(W.indptr)) + rng.random(W.nnz))
+        W = sparse.csr_matrix((W.data[shuffle], W.indices[shuffle], W.indptr), shape=W.shape)
+        M = build_m(W)
+        assert (M != M.T).nnz == 0
+
     def test_matches_dense_construction(self, rng):
         W = random_row_stochastic(15, 3, rng)
         A = np.eye(15) - W.toarray()

@@ -142,6 +142,11 @@ class TestClassicalWeights:
         with pytest.raises(ValueError, match=">= 0"):
             lle_weights(TWO_OPPOSITE, delta=-1.0)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_regularization_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            lle_weights(TWO_OPPOSITE, delta=delta)
+
     def test_all_duplicate_neighbors_fall_back_to_uniform(self):
         w = lle_weights(hood(np.zeros((3, 2))), delta=1e-9)
         np.testing.assert_allclose(w, 1.0 / 3.0, atol=1e-15)
@@ -343,6 +348,11 @@ class TestAssembly:
         W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
         sums = np.asarray(W.sum(axis=1)).ravel()
         assert np.max(np.abs(sums - 1.0)) < 1e-10
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_delta_rejected(self, ring16, ring16_graph, delta):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            assemble_weight_matrix(ring16.points, ring16_graph, "classical", d=1, delta=delta)
 
     def test_matrix_matches_per_point_solves(self, ring16, ring16_graph):
         for method, kwargs in (("classical", {"delta": 1e-9}), ("ldr", {})):
