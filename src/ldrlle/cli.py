@@ -65,6 +65,16 @@ def _load_points(args):
 def cmd_embed(args) -> int:
     if args.input is not None and args.n is not None:
         raise ValueError("--n applies only with --generator: an --input CSV sets its size")
+    if args.input is not None and args.seed is not None:
+        raise ValueError("--seed applies only with --generator: an --input CSV draws nothing")
+    if args.method == "ldr" and args.delta is not None:
+        raise ValueError("--delta applies only with --method classical: "
+                         "the rank-d weights take no regularization")
+    # The sidecar records the seed and delta that were used, null where none was.
+    if args.generator is not None and args.seed is None:
+        args.seed = 0
+    if args.method == "classical" and args.delta is None:
+        args.delta = weights.DEFAULT_DELTA
     X, preimage = _load_points(args)
     graph = neighbors.knn(X, args.k)
     W, spectra = weights.assemble_weight_matrix(
@@ -243,9 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=12, help="neighbors per point (default 12)")
     p.add_argument("--d", type=int, default=2, help="output dimension (default 2)")
     p.add_argument("--method", choices=("classical", "ldr"), default="ldr")
-    p.add_argument("--delta", type=float, default=weights.DEFAULT_DELTA,
-                   help="classical regularization scale (default 1e-9)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--delta", type=float,
+                   help="classical regularization scale (default 1e-9; "
+                        "refused with --method ldr)")
+    p.add_argument("--seed", type=int,
+                   help="sample seed with --generator (default 0; refused with --input)")
     p.add_argument("--preimage", type=Path,
                    help="ground-truth parameter CSV for quality statistics "
                         "(auto-discovered next to --input when present)")

@@ -98,10 +98,10 @@ def perturbation_experiment(epsilons=DEFAULT_EPSILONS, trials: int = DEFAULT_TRI
 
     Each trial perturbs the cross by epsilon times a unit-Frobenius Gaussian
     matrix and records how far both solvers' weights move from the exact
-    uniform answer.  The classical arm solves with delta = 0 (K = D, so no
-    regularization is called for), falling back to the pseudo-inverse when
-    the perturbed Gram matrix is still numerically singular; the rank-d arm
-    uses d = 2, the cross's true dimension.
+    uniform answer.  The classical arm takes the pseudo-inverse weights G^+ 1
+    (K = D, so no regularization is called for): G^-1 1 from the SVD of the
+    perturbed rows, with singular values at or below K * eps * lambda_1
+    dropped; the rank-d arm uses d = 2, the cross's true dimension.
 
     Noise is seeded from (seed, epsilon index, trial), so any subset of
     trials reproduces independently of execution order.

@@ -10,6 +10,14 @@ regularization, and the weights depend only on the projector onto the
 discarded singular directions, which is well defined whenever the top-d
 spectral gap is.
 
+Both are spectral filters on one SVD per neighborhood.  With rows = U S V',
+left-singular vectors u_j, singular values lambda_j and c_j = u_j'1, every
+solver returns w = sum_j f_j c_j u_j normalized to sum to one; only the
+filter f differs.  The rank-d filter is f_j = [j > d]; the classical one is
+f_j = 1 / (lambda_j^2 + mu), the ridge solve (G + mu I)^-1 1 without ever
+forming the Gram matrix G = rows rows', whose condition number is the square
+of the rows'.
+
 A neighborhood is a plain (K, D) array of centered rows eta_j - x_i.  Every
 solve is written once, as a kernel over a stack of such neighborhoods of
 shape (N, K, D); the public solvers take one neighborhood or a stack, and a
@@ -30,7 +38,8 @@ from .neighbors import check_extent
 # (delta / K) * trace(G), so it is invariant to input scaling.
 DEFAULT_DELTA = 1e-9
 
-# Reciprocal-condition floor below which an unregularized Gram solve refuses.
+# Floor on the Gram matrix's reciprocal condition number, (lambda_K / lambda_1)^2,
+# below which unregularized classical weights are refused.
 RCOND_MIN = 1e-12
 
 # Per-neighbor floor on 1'U2U2'1 (scaled by K) for the general-position check.
@@ -78,16 +87,16 @@ class Spectra:
     d: int
 
 
-def _per_row(kernel, rows, *args):
-    """A kernel's output on an (N, K, D) stack, or on one (K, D) neighborhood
-    run as a stack of one, whose errors then name no point."""
+def _per_row(kernel, rows):
+    """kernel(U, lam) on the stacked SVD of an (N, K, D) stack, or of one (K, D)
+    neighborhood run as a stack of one, whose errors then name no point."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 3:
-        return kernel(rows, *args)
+        return kernel(*_svd(rows))
     if rows.ndim != 2:
         raise ValueError(f"need one (K, D) neighborhood or an (N, K, D) stack, got {rows.shape}")
     try:
-        return kernel(rows[None], *args)[0]
+        return kernel(*_svd(rows[None]))[0]
     except _ROW_ERRORS as exc:
         exc.point_index = None
         raise
@@ -105,84 +114,91 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U * np.where(picked < 0.0, -1.0, 1.0)
 
 
-def _split(rows: np.ndarray, d: int):
-    """Stacked SVD split at rank d: sign-fixed left-singular bases (N, K, K) and Spectra."""
-    n, K = rows.shape[:2]
+def _svd(rows: np.ndarray):
+    """Stacked full SVD: sign-fixed left-singular bases (N, K, K) and the
+    singular values, descending and zero-padded to (N, K)."""
+    U, s, _ = np.linalg.svd(rows, full_matrices=True)
+    lam = np.zeros(rows.shape[:2])
+    lam[:, : s.shape[1]] = s
+    return _fix_signs(U), lam
+
+
+def _split(U: np.ndarray, lam: np.ndarray, rows: np.ndarray, d: int) -> Spectra:
+    """Spectra of a stacked SVD split at rank d."""
+    K = lam.shape[1]
     if not 1 <= d < K:
         raise ValueError(f"need 1 <= d < K = {K}, got d = {d}")
-    U, s, _ = np.linalg.svd(rows, full_matrices=True)
-    U = _fix_signs(U)
-    lam = np.zeros((n, K))
-    lam[:, : s.shape[1]] = s
     alpha = _sqnorm(np.ones(K) @ U[:, :, :d]) / K
     radius = np.sqrt((rows * rows).sum(axis=2).max(axis=1))
     top = lam[:, 0]
     gap = (top <= 0.0) | (
         (lam[:, d - 1] - lam[:, d]) / np.where(top > 0.0, top, 1.0) < GAP_WARN_REL
     )
-    return U, Spectra(lam, alpha, radius, gap, d)
+    return Spectra(lam, alpha, radius, gap, d)
 
 
-def _ldr(U: np.ndarray, spectra: Spectra) -> np.ndarray:
-    """Stacked w = U2 U2' 1 / (1' U2 U2' 1) from a split's output, U2 = U[:, :, d:]."""
-    U2, alpha = U[:, :, spectra.d:], spectra.alpha
-    K = U2.shape[1]
-    coef = np.ones(K) @ U2
-    denom = _sqnorm(coef)
-    bad = denom <= GENERAL_POSITION_TOL * K
+def _filtered(U: np.ndarray, f: np.ndarray):
+    """Stacked w = U diag(f) U'1 and its sum 1'w = sum_j f_j (u_j'1)^2."""
+    c = np.ones(U.shape[1]) @ U
+    fc = f * c
+    return (U @ fc[:, :, None])[:, :, 0], (fc[:, None, :] @ c[:, :, None])[:, 0, 0]
+
+
+def _ldr(U: np.ndarray, d: int) -> np.ndarray:
+    """Stacked w = U2 U2' 1 / (1' U2 U2' 1), U2 = U[:, :, d:]: the filter [j >= d]."""
+    K = U.shape[1]
+    if not 1 <= d < K:
+        raise ValueError(f"need 1 <= d < K = {K}, got d = {d}")
+    w, total = _filtered(U, np.arange(K) >= d)
+    bad = total <= GENERAL_POSITION_TOL * K
     if bad.any():
         i = int(np.argmax(bad))
+        alpha = 1.0 - float(total[i]) / K
         raise GeneralPositionError(
             f"projected neighborhood is not in general position "
-            f"(1'U2U2'1 = {denom[i]:.3e}, alpha = {alpha[i]:.6f})",
-            alpha=float(alpha[i]), point_index=i,
+            f"(1'U2U2'1 = {total[i]:.3e}, alpha = {alpha:.6f})",
+            alpha=alpha, point_index=i,
         )
-    return (U2 @ coef[:, :, None])[:, :, 0] / denom[:, None]
+    return w / total[:, None]
 
 
-def _classical(rows: np.ndarray, delta: float, pinv_singular: bool = False) -> np.ndarray:
-    """Stacked classical weights: (G + delta_eff I) w = 1, normalized.
+def _classical(U: np.ndarray, lam: np.ndarray, delta: float,
+               pinv_singular: bool = False) -> np.ndarray:
+    """Stacked classical weights: (G + delta_eff I)^-1 1, normalized.
 
     With delta = 0, a row whose Gram matrix is singular to working precision
-    is refused, or with pinv_singular gets the pseudo-inverse solution G^+ 1.
+    is refused.  pinv_singular (passed with delta = 0) instead gives every row
+    the pseudo-inverse solution G^+ 1, which drops the directions with
+    lambda_j <= K eps lambda_1 and equals G^-1 1 where G is nonsingular.
     """
     if not 0.0 <= delta < np.inf:
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
-    n, K = rows.shape[:2]
-    G = rows @ rows.transpose(0, 2, 1)
-    trace = np.trace(G, axis1=1, axis2=2)
-    singular = np.zeros(n, dtype=bool)
-    if delta == 0.0:
-        evals = np.linalg.eigvalsh(G)
-        top = evals[:, -1]
-        rcond = np.divide(np.maximum(evals[:, 0], 0.0), top, out=np.zeros(n), where=top > 0.0)
-        singular = rcond < RCOND_MIN
-        lhs = G
-    else:
-        lhs = G + ((delta / K) * trace)[:, None, None] * np.eye(K)
-    # With all neighbors on the center only the ridge objective remains; its
-    # minimizer under the sum constraint is uniform, which the identity system
-    # yields.  Singular rows solve it too and are replaced or refused below.
-    lhs = np.where((singular | (trace == 0.0))[:, None, None], np.eye(K), lhs)
-    w = np.linalg.solve(lhs, np.ones((n, K, 1)))[:, :, 0]
+    K = lam.shape[1]
+    # A positive factor per row cancels in the normalization, so the filter is
+    # taken on r = lambda / lambda_1, whose square neither overflows nor
+    # underflows whatever the scale of the input.
+    r = np.divide(lam, lam[:, :1], out=np.zeros_like(lam), where=lam[:, :1] > 0.0)
     if pinv_singular:
-        # G^+ 1 = R^+' R^+ 1: a pseudo-inverse of G itself squares the condition
-        # number, and its cutoff can drop every small direction (weights sum to 0).
-        P = np.linalg.pinv(rows[singular])
-        w[singular] = ((P @ np.ones(K))[:, None, :] @ P)[:, 0, :]
-        singular[:] = False
-    total = w.sum(axis=1)
-    bad = singular | (total == 0.0) | (np.abs(total) < 1e-14 * np.abs(w).sum(axis=1))
-    if bad.any():
-        i = int(np.argmax(bad))
-        if singular[i]:
+        f = np.divide(1.0, r * r, out=np.zeros_like(r), where=r > K * np.finfo(float).eps)
+    else:
+        rcond = r[:, -1] ** 2
+        singular = (delta == 0.0) & (rcond < RCOND_MIN)
+        if singular.any():
+            i = int(np.argmax(singular))
             raise SingularNeighborhoodError(
                 f"Gram matrix is singular to working precision (rcond = {rcond[i]:.2e}); "
                 "pass delta > 0 or use the rank-d method",
                 rcond=float(rcond[i]), point_index=i,
             )
+        ridge = r * r + (delta / K) * _sqnorm(r)[:, None]
+        # With all neighbors on the center only the ridge objective remains;
+        # its minimizer under the sum constraint is uniform, which f = 1 yields.
+        f = np.divide(1.0, ridge, out=np.ones_like(r), where=ridge > 0.0)
+    w, total = _filtered(U, f)
+    bad = total <= 1e-14 * np.abs(w).sum(axis=1)
+    if bad.any():
         raise DegenerateWeightsError(
-            "weight vector sums to zero; normalization undefined", point_index=i
+            "weight vector sums to zero; normalization undefined", point_index=int(np.argmax(bad))
         )
     return w / total[:, None]
 
@@ -193,7 +209,9 @@ def neighborhood_spectrum(rows, d: int) -> NeighborhoodSpectrum:
     Column signs follow the largest-magnitude-entry-positive convention, so
     repeated runs on the same machine agree bit for bit.
     """
-    U, spec = _split(np.asarray(rows, dtype=float)[None], d)
+    rows = np.asarray(rows, dtype=float)[None]
+    U, lam = _svd(rows)
+    spec = _split(U, lam, rows, d)
     return NeighborhoodSpectrum(spec.singular_values[0], U[0, :, :d], U[0, :, d:],
                                 float(spec.alpha[0]), d, bool(spec.gap_warning[0]))
 
@@ -202,13 +220,15 @@ def lle_weights(rows, delta: float) -> np.ndarray:
     """Classical reconstruction weights, optionally regularized.
 
     Solves (G + delta_eff * I) w = 1 for the Gram matrix G = rows rows' and
-    normalizes w to sum to one, with delta_eff = (delta / K) * trace(G).
+    normalizes w to sum to one, with delta_eff = (delta / K) * trace(G).  The
+    solve is the filter 1 / (lambda_j^2 + delta_eff) on the SVD of rows, so G
+    is never formed and the weights keep full precision at any input scale.
     With delta = 0 the Gram matrix must be nonsingular to working precision
-    (reciprocal condition number above 1e-12), which fails whenever K > D.
-    rows is one (K, D) neighborhood, giving (K,) weights, or an (N, K, D)
-    stack, giving (N, K).
+    (reciprocal condition number (lambda_K / lambda_1)^2 above 1e-12), which
+    fails whenever K > D.  rows is one (K, D) neighborhood, giving (K,)
+    weights, or an (N, K, D) stack, giving (N, K).
     """
-    return _per_row(_classical, rows, delta)
+    return _per_row(lambda U, lam: _classical(U, lam, delta), rows)
 
 
 def lle_weights_pinv(rows) -> np.ndarray:
@@ -216,10 +236,14 @@ def lle_weights_pinv(rows) -> np.ndarray:
 
     Minimum-norm solution of the stationarity equation G w proportional to 1
     (G^-1 1 where G is nonsingular to working precision); used where the
-    exact delta = 0 solution is wanted even when G is singular.  Takes one
-    neighborhood or a stack, as lle_weights does.
+    exact delta = 0 solution is wanted even when G is singular.  It is the
+    filter 1 / lambda_j^2 on the SVD of rows, cut to 0 where
+    lambda_j <= K * eps * lambda_1 (numpy's pinv cutoff when K >= D).  Raises
+    DegenerateWeightsError when the result sums to zero, as for the planar
+    cross, whose kept directions are orthogonal to the ones vector.  Takes
+    one neighborhood or a stack, as lle_weights does.
     """
-    return _per_row(_classical, rows, 0.0, True)
+    return _per_row(lambda U, lam: _classical(U, lam, 0.0, True), rows)
 
 
 def ldr_weights(rows, d: int) -> np.ndarray:
@@ -235,16 +259,17 @@ def ldr_weights(rows, d: int) -> np.ndarray:
     the ones vector numerically lies inside the retained subspace (alpha = 1).
     Takes one neighborhood or a stack, as lle_weights does.
     """
-    return _per_row(lambda stack: _ldr(*_split(stack, d)), rows)
+    return _per_row(lambda U, lam: _ldr(U, d), rows)
 
 
 def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
                            delta: float = DEFAULT_DELTA):
     """Solve every point's weights and assemble the sparse N x N row-stochastic W.
 
-    graph is the (N, K) neighbor index array of knn, integers in [0, N).
-    method is "classical" (ambient-space weights regularized by delta) or
-    "ldr" (rank-d representation weights).  Neighborhood spectra are computed
+    graph is the (N, K) neighbor index array of knn, integers in [0, N), with
+    K >= 1.  method is "classical" (ambient-space weights regularized by
+    delta) or "ldr" (rank-d representation weights).  One SVD per
+    neighborhood feeds both the weights and the spectra, which are computed
     for every point regardless of method, so callers can report alpha,
     singular values, radii, and gap warnings; for classical with d >= K no
     rank split exists and the spectra are None.
@@ -258,6 +283,9 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     if method not in ("classical", "ldr"):
         raise ValueError(f"unknown method {method!r}; expected 'classical' or 'ldr'")
     graph = np.asarray(graph)
+    if graph.ndim != 2 or graph.shape[1] < 1:
+        raise ValueError(f"neighbor graph must be an (N, K) array with K >= 1, "
+                         f"got shape {graph.shape}")
     n, K = graph.shape
     if X.shape[0] != n:
         raise ValueError(f"cloud has {X.shape[0]} points but the neighbor graph has {n}")
@@ -267,13 +295,12 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     if outside.any():
         raise ValueError(f"neighbor graph row {int(np.argmax(outside))} has an index "
                          f"outside [0, {n})")
-    if method == "ldr" and not 1 <= d < K:
-        raise ValueError(f"rank-d method needs 1 <= d < K = {K}, got d = {d}")
     check_extent(X)
     rows = X[graph] - X[:, None, :]
-    U, spectra = _split(rows, d) if 1 <= d < K else (None, None)
+    U, lam = _svd(rows)
+    spectra = _split(U, lam, rows, d) if 1 <= d < K else None
     try:
-        data = _ldr(U, spectra) if method == "ldr" else _classical(rows, delta)
+        data = _ldr(U, d) if method == "ldr" else _classical(U, lam, delta)
     except _ROW_ERRORS as exc:
         exc.args = (f"point {exc.point_index}: {exc.args[0]}",)
         raise

@@ -5,6 +5,8 @@ systems, pseudo-inverses) and avoids the library's own linear-algebra paths,
 so agreement between the two is evidence and not tautology.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -64,6 +66,33 @@ def constrained_lsq_weights(rows):
     b = np.zeros(K + 1)
     b[K] = 1.0
     return np.linalg.solve(kkt, b)[:K]
+
+
+def exact_gram_weights(rows, delta):
+    """Classical weights (G + mu I)^-1 1, normalized, in exact arithmetic.
+
+    G = rows rows' and mu = (delta / K) trace(G) are formed from the exact
+    binary values of the float inputs with fractions.Fraction, and the
+    system is solved by Gauss-Jordan elimination, so the only rounding is the
+    final conversion of each weight to float.  G + mu I must be nonsingular;
+    it is positive definite then, so no pivoting is needed.
+    """
+    R = [[Fraction(float(x)) for x in row] for row in np.asarray(rows, dtype=float)]
+    K = len(R)
+    G = [[sum(a * b for a, b in zip(R[i], R[j])) for j in range(K)] for i in range(K)]
+    mu = Fraction(float(delta)) / K * sum(G[i][i] for i in range(K))
+    A = [G[i] + [Fraction(1)] for i in range(K)]
+    for i in range(K):
+        A[i][i] += mu
+    for col in range(K):
+        pivot = A[col]
+        for i in range(K):
+            if i != col and A[i][col] != 0:
+                m = A[i][col] / pivot[col]
+                A[i] = [a - m * b for a, b in zip(A[i], pivot)]
+    w = [A[i][K] / A[i][i] for i in range(K)]
+    total = sum(w)
+    return np.array([float(x / total) for x in w])
 
 
 def feasible_sum_one_vectors(K, count, rng):

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
 
 from ldrlle import cli, diagnostics, load_csv, preimage_path, save_csv, save_sample
 from ldrlle import assemble_weight_matrix, knn
@@ -247,6 +248,33 @@ class TestEmbed:
         assert "--n" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["pts.csv"]
 
+    def test_seed_with_an_input_is_refused(self, tmp_path, capsys):
+        # A seed draws nothing from an input CSV, so the sidecar must not
+        # record one; without the flag it records null.
+        src = tmp_path / "pts.csv"
+        save_csv(gen_swissroll(60, seed=1).points, src)
+        out = tmp_path / "emb.csv"
+        rc = run("embed", "--input", str(src), "--seed", "5", "--k", "8", "--out", str(out))
+        assert rc == 2
+        assert "--seed" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["pts.csv"]
+        assert run("embed", "--input", str(src), "--k", "8", "--out", str(out)) == 0
+        assert json.loads(out.with_suffix(".json").read_text())["seed"] is None
+
+    def test_delta_with_the_rank_d_method_is_refused(self, tmp_path, capsys):
+        # The rank-d weights take no ridge, so the sidecar must not record
+        # one; without the flag it records null.
+        out = tmp_path / "emb.csv"
+        argv = ["embed", "--generator", "swissroll", "--n", "120", "--k", "8",
+                "--method", "ldr", "--out", str(out)]
+        assert run(*argv, "--delta", "0.5") == 2
+        assert "--delta" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert run(*argv) == 0
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        assert sidecar["delta"] is None
+        assert sidecar["seed"] == 0
+
     def test_json_output_is_refused_before_its_sidecar_overwrites_it(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         rc = run(
@@ -310,6 +338,20 @@ class TestEmbed:
         rc = run("embed", "--input", str(src), "--k", "6", "--out", str(tmp_path / "o.csv"))
         assert rc == 2
         assert "overflow" in capsys.readouterr().err
+
+    def test_classical_run_at_a_tiny_scale_embeds_like_the_unscaled_cloud(self, tmp_path):
+        # Classical weights through the Gram matrix were NaN at this scale, and
+        # the run exited 5 blaming the eigensolver.
+        X = gen_swissroll(600, seed=3).points
+        Ys = []
+        for name, cloud in (("unit", X), ("tiny", 1e-160 * X)):
+            src, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.emb.csv"
+            save_csv(cloud, src)
+            rc = run("embed", "--input", str(src), "--method", "classical", "--k", "10",
+                     "--out", str(out))
+            assert rc == 0
+            Ys.append(load_csv(out))
+        assert np.cos(subspace_angles(*Ys)).min() >= 0.9999
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []

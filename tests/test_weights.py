@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ldrlle import (
     DEFAULT_DELTA,
+    DEFAULT_EPSILONS,
     DegenerateWeightsError,
     GeneralPositionError,
     SingularNeighborhoodError,
@@ -19,11 +20,13 @@ from ldrlle import (
     lle_weights,
     lle_weights_pinv,
     neighborhood_spectrum,
+    perturbation_experiment,
     save_spectra,
     save_weight_matrix,
 )
 from oracles import (
     constrained_lsq_weights,
+    exact_gram_weights,
     feasible_in_discarded_span,
     feasible_sum_one_vectors,
     kkt_min_norm_weights,
@@ -189,6 +192,14 @@ class TestClassicalWeights:
         rotated = lle_weights(hood(rows @ R), delta=0.0)
         assert np.max(np.abs(rotated - base)) < 1e-10
 
+    def test_matches_exact_arithmetic_at_the_default_ridge(self):
+        # Forming the Gram matrix squares the rows' condition number; at
+        # delta = 1e-9 that cost about 7 digits against the exact solve.
+        X = gen_swissroll(2000, seed=0).points
+        rows = (X[knn(X, 12)] - X[:, None])[::200]
+        exact = np.array([exact_gram_weights(h, DEFAULT_DELTA) for h in rows])
+        np.testing.assert_allclose(lle_weights(rows, DEFAULT_DELTA), exact, rtol=0, atol=1e-12)
+
     def test_beats_random_feasible_vectors(self, rng):
         from ldrlle import reconstruction_error
 
@@ -219,6 +230,19 @@ class TestPinvWeights:
         w = lle_weights_pinv(hood(rows))
         direct = np.linalg.solve(rows.T, np.linalg.solve(rows, np.ones(4)))
         np.testing.assert_allclose(w, direct / direct.sum(), rtol=1e-6)
+
+    def test_matches_exact_arithmetic_on_the_perturbation_study(self):
+        # The study's epsilon = 1e-4 trials, rebuilt from its seeding by
+        # (seed, epsilon index, trial): G has condition number about 1e8.
+        e_idx = DEFAULT_EPSILONS.index(1e-4)
+        study = perturbation_experiment(seed=5)[e_idx]
+        for t in range(20):
+            noise = np.random.default_rng(np.random.SeedSequence([5, e_idx, t])).standard_normal((4, 4))
+            rows = grid_cross_neighborhood() + 1e-4 * noise / np.linalg.norm(noise)
+            exact = exact_gram_weights(rows, 0.0)
+            assert np.linalg.norm(lle_weights_pinv(rows) - exact) <= 1e-9 * np.linalg.norm(exact)
+            assert study.distances_classical[t] == pytest.approx(
+                np.linalg.norm(exact - 0.25), rel=1e-9)
 
     def test_unperturbed_cross_is_degenerate(self):
         # The cross's Gram matrix annihilates the ones vector, so the
@@ -432,6 +456,12 @@ class TestAssembly:
         with pytest.raises(ValueError, match=r"row 3 has an index outside \[0, 20\)"):
             assemble_weight_matrix(X, graph, "ldr", d=2)
 
+    @pytest.mark.parametrize("shape", [(20, 0), (20,)])
+    def test_neighbor_graph_must_be_n_by_k(self, shape, rng):
+        X = rng.normal(size=(20, 3))
+        with pytest.raises(ValueError, match=rf"K >= 1, got shape \({shape[0]},"):
+            assemble_weight_matrix(X, np.zeros(shape, dtype=np.intp), "classical", d=2)
+
     def test_non_integer_neighbor_graph_rejected(self, rng):
         X = rng.normal(size=(20, 3))
         with pytest.raises(ValueError, match="integer indices, got dtype float64"):
@@ -447,6 +477,36 @@ def test_overflowing_offsets_rejected(method):
     far = np.argsort(-np.abs(X[:, None, 0] - X[None, :, 0]), axis=1, kind="stable")
     with pytest.raises(ValueError, match="overflow"):
         assemble_weight_matrix(1e308 * X, far[:, :6], method, d=2)
+
+
+@pytest.fixture(scope="module")
+def roll600():
+    """Swiss roll n = 600, seed 3, its K = 10 graph, and both unscaled W."""
+    X = gen_swissroll(600, seed=3).points
+    graph = knn(X, 10)
+    return X, graph, {m: assemble_weight_matrix(X, graph, m, d=2)[0].toarray()
+                      for m in ("classical", "ldr")}
+
+
+@pytest.mark.parametrize("method", ["classical", "ldr"])
+@pytest.mark.parametrize("scale", [1e-150, 1e-160])
+def test_weights_hold_at_tiny_scales(roll600, method, scale):
+    # Through the Gram matrix, classical weights overflowed at 1e-150 and
+    # turned to NaN at 1e-160.
+    X, graph, W = roll600
+    scaled, _ = assemble_weight_matrix(scale * X, graph, method, d=2)
+    assert np.max(np.abs(scaled.toarray() - W[method])) < 1e-12
+
+
+@pytest.mark.parametrize("method", ["classical", "ldr"])
+@given(st.integers(-500, 500))
+@example(-500)
+@example(500)
+@settings(max_examples=20, deadline=None)
+def test_weights_are_invariant_under_power_of_two_scaling(roll600, method, k):
+    X, graph, W = roll600
+    scaled, _ = assemble_weight_matrix(np.ldexp(X, k), graph, method, d=2)
+    assert np.max(np.abs(scaled.toarray() - W[method])) < 1e-12
 
 
 @st.composite
