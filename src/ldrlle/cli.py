@@ -33,33 +33,25 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _generated(args, n):
-    """Points and preimage of the --generator sample of size n."""
-    if args.preimage is not None:
-        raise ValueError("--preimage applies only with --input: "
-                         "a generated sample carries its own preimage")
-    sample = datasets.generate(args.generator, n, args.seed)
-    return sample.points, sample.preimage
-
-
-def _load_points(args):
-    """Points plus (preimage or None) from --input or --generator."""
+def _samples(args, sizes):
+    """Yield (points, preimage or None): one lazily generated sample per size
+    with --generator, else the --input file once, with --preimage or else the
+    sibling preimage file when it exists."""
     if args.generator is not None:
-        return _generated(args, 2000 if args.n is None else args.n)
+        if args.preimage is not None:
+            raise ValueError("--preimage applies only with --input: "
+                             "a generated sample carries its own preimage")
+        for n in sizes:
+            sample = datasets.generate(args.generator, n, args.seed)
+            yield sample.points, sample.preimage
+        return
     X = datasets.load_csv(args.input)
-    preimage = None
-    pre_path = args.preimage
-    if pre_path is None:
-        sibling = datasets.preimage_path(args.input)
-        if sibling.exists():
-            pre_path = sibling
-    if pre_path is not None:
-        preimage = datasets.load_csv(pre_path)
-        if preimage.shape[0] != X.shape[0]:
-            raise ValueError(
-                f"preimage has {preimage.shape[0]} rows but input has {X.shape[0]}"
-            )
-    return X, preimage
+    sibling = datasets.preimage_path(args.input)
+    pre_path = args.preimage or (sibling if sibling.exists() else None)
+    preimage = None if pre_path is None else datasets.load_csv(pre_path)
+    if preimage is not None and preimage.shape[0] != X.shape[0]:
+        raise ValueError(f"preimage has {preimage.shape[0]} rows but input has {X.shape[0]}")
+    yield X, preimage
 
 
 def cmd_embed(args) -> int:
@@ -75,7 +67,7 @@ def cmd_embed(args) -> int:
         args.seed = 0
     if args.method == "classical" and args.delta is None:
         args.delta = weights.DEFAULT_DELTA
-    X, preimage = _load_points(args)
+    X, preimage = next(_samples(args, [2000 if args.n is None else args.n]))
     graph = neighbors.knn(X, args.k)
     W, spectra = weights.assemble_weight_matrix(
         X, graph, args.method, d=args.d, delta=args.delta
@@ -167,19 +159,15 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_theorem2(args) -> int:
-    if args.generator is not None:
-        pairs = (_generated(args, n) for n in args.n_list or (500, 1000, 2000))
-    elif args.n_list is not None:
+    if args.input is not None and args.n_list is not None:
         raise ValueError("--n-list applies only with --generator: an --input CSV sets its size")
-    elif args.preimage is None:
+    if args.input is not None and args.preimage is None:
         raise ValueError(
             "--input requires --preimage: the objective-value check "
             "scores ground-truth parameters, which an arbitrary CSV does not carry"
         )
-    else:
-        pairs = [_load_points(args)]
     rows = []
-    for X, Z in pairs:
+    for X, Z in _samples(args, args.n_list or (500, 1000, 2000)):
         graph = neighbors.knn(X, args.k)
         W, spectra = weights.assemble_weight_matrix(X, graph, "ldr", d=args.d)
         result = diagnostics.theorem2_check_from_parts(Z, W, spectra)

@@ -12,7 +12,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import orthogonal_procrustes
-from scipy.stats import spearmanr
 
 from .embedding import phi
 from .errors import UndefinedCorrelationError
@@ -291,6 +290,9 @@ def monotonicity_1d(Y, preimage) -> float:
         raise ValueError(f"lengths {y.size} and {z.size} differ")
     if np.ptp(y) == 0.0 or np.ptp(z) == 0.0:
         raise UndefinedCorrelationError("rank correlation undefined for constant input")
+    # Imported here, its one use: loading scipy.stats doubles `import ldrlle`'s time.
+    from scipy.stats import spearmanr
+
     rho = spearmanr(y, z).statistic
     return float(rho)
 

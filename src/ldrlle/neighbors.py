@@ -5,10 +5,6 @@ from scipy.spatial.distance import cdist
 
 from .datasets import validate_cloud, write_rows
 
-# Row-chunk size for the pairwise-distance sweep; bounds peak memory at about
-# CHUNK * N doubles without changing results.
-_CHUNK = 512
-
 
 def check_extent(X: np.ndarray) -> None:
     """Refuse a cloud whose squared distances would overflow.
@@ -39,13 +35,14 @@ def knn(cloud, K: int) -> np.ndarray:
     if K >= n:
         raise ValueError(f"K must be < N = {n}, got {K}")
     check_extent(X)
+    # Scaling by a power of two is exact, so the graph is unchanged while the
+    # squared distances of a tiny cloud no longer underflow.
+    X = np.ldexp(X, -np.frexp(np.abs(X).max())[1])
     indices = np.empty((n, K), dtype=np.intp)
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        d2 = cdist(X[start:stop], X, metric="sqeuclidean")
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf  # exclude self
-        order = np.argsort(d2, axis=1, kind="stable")
-        indices[start:stop] = order[:, :K]
+    for i in range(n):
+        d2 = cdist(X[i : i + 1], X, metric="sqeuclidean")[0]
+        d2[i] = np.inf  # exclude self
+        indices[i] = np.argsort(d2, kind="stable")[:K]
     return indices
 
 

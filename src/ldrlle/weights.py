@@ -129,7 +129,10 @@ def _split(U: np.ndarray, lam: np.ndarray, rows: np.ndarray, d: int) -> Spectra:
     if not 1 <= d < K:
         raise ValueError(f"need 1 <= d < K = {K}, got d = {d}")
     alpha = _sqnorm(np.ones(K) @ U[:, :, :d]) / K
-    radius = np.sqrt((rows * rows).sum(axis=2).max(axis=1))
+    # Exact power-of-two scaling per neighborhood keeps tiny offsets' squares from underflowing.
+    e = np.frexp(np.abs(rows).max(axis=(1, 2)))[1]
+    scaled = np.ldexp(rows, -e[:, None, None])
+    radius = np.ldexp(np.sqrt((scaled * scaled).sum(axis=2).max(axis=1)), e)
     top = lam[:, 0]
     gap = (top <= 0.0) | (
         (lam[:, d - 1] - lam[:, d]) / np.where(top > 0.0, top, 1.0) < GAP_WARN_REL
@@ -209,7 +212,10 @@ def neighborhood_spectrum(rows, d: int) -> NeighborhoodSpectrum:
     Column signs follow the largest-magnitude-entry-positive convention, so
     repeated runs on the same machine agree bit for bit.
     """
-    rows = np.asarray(rows, dtype=float)[None]
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError(f"need one (K, D) neighborhood, got {rows.shape}")
+    rows = rows[None]
     U, lam = _svd(rows)
     spec = _split(U, lam, rows, d)
     return NeighborhoodSpectrum(spec.singular_values[0], U[0, :, :d], U[0, :, d:],

@@ -1,11 +1,16 @@
 """End-to-end command-line behavior: files, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
+import ldrlle
 from ldrlle import cli, diagnostics, load_csv, preimage_path, save_csv, save_sample
 from ldrlle import assemble_weight_matrix, knn
 from ldrlle.datasets import gen_swissroll
@@ -353,6 +358,37 @@ class TestEmbed:
             Ys.append(load_csv(out))
         assert np.cos(subspace_angles(*Ys)).min() >= 0.9999
 
+    @pytest.mark.parametrize("method", ["classical", "ldr"])
+    def test_run_below_the_squared_distance_underflow_embeds_like_the_unscaled_cloud(
+        self, tmp_path, method
+    ):
+        # At this scale squared distances underflow; without rescaling the
+        # graph changes, every radius reads 0, and the run exits 0 with a wrong Y.
+        X = gen_swissroll(600, seed=3).points
+        Ys, r_max = [], []
+        for name, cloud in (("unit", X), ("tiny", 1e-170 * X)):
+            src, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.emb.csv"
+            save_csv(cloud, src)
+            rc = run("embed", "--input", str(src), "--method", method, "--k", "10",
+                     "--out", str(out))
+            assert rc == 0
+            Ys.append(load_csv(out))
+            r_max.append(json.loads(out.with_suffix(".json").read_text())["r_max"])
+        assert np.cos(subspace_angles(*Ys)).min() >= 0.9999
+        assert r_max[1] == pytest.approx(1e-170 * r_max[0], rel=1e-12)
+
+    def test_classical_run_without_a_rank_split_records_null_spectra(self, tmp_path):
+        out = tmp_path / "emb.csv"
+        rc = run(
+            "embed", "--generator", "ring", "--n", "16", "--k", "2", "--d", "3",
+            "--method", "classical", "--out", str(out),
+        )
+        assert rc == 0
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        assert sidecar["alpha"] is None
+        assert sidecar["r_max"] is None
+        assert sidecar["gap_warnings"] is None
+
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -417,6 +453,15 @@ class TestPerturb:
         ])
         np.testing.assert_array_equal(np.loadtxt(csv, delimiter=",", skiprows=1), want,
                                       strict=True)
+
+    def test_bound_violations_exit_numerical(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(diagnostics, "theorem1_bound", lambda lam_d, alpha, eps: 0.0)
+        out = tmp_path / "report.json"
+        rc = run("perturb", "--trials", "3", "--epsilons", "1e-2", "1e-4", "--out", str(out))
+        assert rc == 5
+        assert "error: 6 bound violations" in capsys.readouterr().err
+        payload = json.loads(out.read_text())
+        assert [row["violations"] for row in payload["reports"]] == [3, 3]
 
     def test_invalid_epsilon(self, tmp_path):
         rc = run("perturb", "--epsilons", "-1.0", "--trials", "3",
@@ -593,3 +638,9 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as excinfo:
             run("frobnicate")
         assert excinfo.value.code == 2
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # Only monotonicity_1d needs it, and loading it doubles the import time.
+        env = dict(os.environ, PYTHONPATH=str(Path(ldrlle.__file__).parents[1]))
+        code = "import sys, ldrlle.cli; assert 'scipy.stats' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)

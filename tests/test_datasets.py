@@ -114,6 +114,10 @@ class TestScurve:
         assert np.all(np.abs(t) < 1.5 * np.pi)
         assert np.all((h >= 0.0) & (h < 2.0))
 
+    def test_empty_sample_is_refused(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            gen_scurve(0)
+
     def test_seed_determinism(self):
         a = gen_scurve(32, seed=9)
         b = gen_scurve(32, seed=9)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
+from ldrlle import embedding
 from ldrlle import (
     DisconnectedGraphError,
     EigenSolverError,
@@ -123,6 +124,10 @@ class TestBuildM:
         W = random_row_stochastic(12, 2, rng)
         evals = np.linalg.eigvalsh(build_m(W).toarray())
         assert evals.min() > -1e-12
+
+    def test_non_square_weights_are_refused(self):
+        with pytest.raises(ValueError, match="square"):
+            build_m(sparse.csr_matrix((4, 5)))
 
 
 class TestPhi:
@@ -283,6 +288,16 @@ class TestEmbed:
         second = embed(W, 2)
         assert starts
         assert np.min(np.cos(subspace_angles(first.Y, second.Y))) >= 0.999
+
+    def test_missing_constant_mode_is_typed(self, ring16, ring16_graph, monkeypatch):
+        def constant_free_basis(M, k):
+            B = np.random.default_rng(0).normal(size=(M.shape[0], k))
+            return np.linalg.qr(B - B.mean(axis=0))[0], 1.0
+
+        monkeypatch.setattr(embedding, "_bottom_subspace", constant_free_basis)
+        W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
+        with pytest.raises(EigenSolverError, match="constant mode is missing"):
+            embed(W, 2)
 
     def test_eigensolver_failure_is_typed(self, ring16, ring16_graph, monkeypatch):
         def failing_eigsh(*args, **kwargs):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ldrlle import assemble_weight_matrix, gen_swissroll, knn, save_neighbor_graph
 from oracles import brute_force_knn, random_orthogonal
@@ -85,10 +87,27 @@ class TestKnn:
             knn(X, 4)
 
     def test_chunked_path_matches_oracle(self, rng):
-        # More points than one distance chunk holds, so the sweep wraps.
+        # Named for the block sweep knn once used; still a larger cloud than above.
         X = rng.normal(size=(530, 2))
         graph = knn(X, 3)
         np.testing.assert_array_equal(graph, brute_force_knn(X, 3))
+
+
+@pytest.fixture(scope="module")
+def roll600():
+    """Swiss roll n = 600, seed 3, and its K = 10 graph."""
+    X = gen_swissroll(600, seed=3).points
+    return X, knn(X, 10)
+
+
+@given(st.integers(-1000, 500))
+@example(-1000)
+@example(500)
+@settings(max_examples=20, deadline=None)
+def test_graph_is_invariant_under_power_of_two_scaling(roll600, k):
+    # Below about 2^-565 the squared distances underflow unless knn rescales.
+    X, graph = roll600
+    np.testing.assert_array_equal(knn(np.ldexp(X, k), 10), graph)
 
 
 class TestNeighborhoodMatrix:

@@ -119,6 +119,11 @@ class TestNeighborhoodSpectrum:
         with pytest.raises(ValueError):
             neighborhood_spectrum(TWO_OPPOSITE, 2)
 
+    @pytest.mark.parametrize("shape", [(5, 6, 3), (5,)])
+    def test_anything_but_one_neighborhood_is_refused(self, shape):
+        with pytest.raises(ValueError, match=r"\(K, D\) neighborhood"):
+            neighborhood_spectrum(np.ones(shape), 2)
+
 
 class TestClassicalWeights:
     def test_two_neighbor_minimizer(self):
@@ -149,6 +154,11 @@ class TestClassicalWeights:
     def test_non_finite_regularization_rejected(self, delta):
         with pytest.raises(ValueError, match="delta must be finite"):
             lle_weights(TWO_OPPOSITE, delta=delta)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 5, 6, 3)])
+    def test_neither_a_neighborhood_nor_a_stack_is_refused(self, shape):
+        with pytest.raises(ValueError, match=r"\(N, K, D\) stack"):
+            lle_weights(np.ones(shape), delta=DEFAULT_DELTA)
 
     def test_all_duplicate_neighbors_fall_back_to_uniform(self):
         w = lle_weights(hood(np.zeros((3, 2))), delta=1e-9)
@@ -496,6 +506,14 @@ def test_weights_hold_at_tiny_scales(roll600, method, scale):
     X, graph, W = roll600
     scaled, _ = assemble_weight_matrix(scale * X, graph, method, d=2)
     assert np.max(np.abs(scaled.toarray() - W[method])) < 1e-12
+
+
+def test_radius_holds_at_a_tiny_scale(roll600):
+    # The squared offsets underflow at this scale unless the radius rescales.
+    X, graph, _ = roll600
+    _, spectra = assemble_weight_matrix(X, graph, "ldr", d=2)
+    _, tiny = assemble_weight_matrix(1e-170 * X, graph, "ldr", d=2)
+    np.testing.assert_allclose(tiny.radius, 1e-170 * spectra.radius, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("method", ["classical", "ldr"])
