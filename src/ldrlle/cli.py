@@ -133,7 +133,7 @@ def cmd_perturb(args) -> int:
         "seed": args.seed,
         "output": str(args.out),
     }
-    payload = diagnostics.perturbation_report_dict(reports, config=config)
+    payload = {**diagnostics.perturbation_report_dict(reports), "config": config}
     datasets.write_json(payload, args.out)
     if args.csv is not None:
         datasets.write_rows([("epsilon", "trial", "classical", "ldr")] + [

@@ -15,7 +15,7 @@ from scipy.linalg import orthogonal_procrustes
 
 from .embedding import phi
 from .errors import UndefinedCorrelationError
-from .weights import _sqnorm, ldr_weights, lle_weights_pinv, neighborhood_spectrum
+from .weights import _classical, _ldr, _sqnorm, _svd, neighborhood_spectrum
 
 # Top singular value of the rescaled grid cross; must stay below 1 for the
 # stability bound to apply, and 0.99 keeps all the study epsilons inside the
@@ -61,22 +61,20 @@ def theorem1_bound(lambda_d: float, alpha: float, epsilon: float) -> Optional[fl
     return 20.0 * epsilon / (lambda_d ** 2 * (1.0 - alpha))
 
 
-def grid_cross_neighborhood(lambda1: float = CROSS_LAMBDA1) -> np.ndarray:
+def grid_cross_neighborhood() -> np.ndarray:
     """The planar grid cross: a grid point's 4 nearest neighbors, centered.
 
     Rows are (+-1, 0, 0, 0) and (0, +-1, 0, 0) rescaled so the top singular
-    value is lambda1; K = D = 4, the two non-zero singular values coincide,
-    alpha = 0, and the exact reconstruction weights are uniform.  Returns the
-    (4, 4) array of rows.
+    value is CROSS_LAMBDA1; K = D = 4, the two non-zero singular values
+    coincide, alpha = 0, and the exact reconstruction weights are uniform.
+    Returns the (4, 4) array of rows.
     """
-    if not lambda1 > 0.0:
-        raise ValueError(f"lambda1 must be > 0, got {lambda1}")
     rows = np.zeros((4, 4))
     rows[0, 0] = 1.0
     rows[1, 0] = -1.0
     rows[2, 1] = 1.0
     rows[3, 1] = -1.0
-    rows *= lambda1 / np.sqrt(2.0)  # unscaled singular values: sqrt(2), sqrt(2), 0, 0
+    rows *= CROSS_LAMBDA1 / np.sqrt(2.0)  # unscaled singular values: sqrt(2), sqrt(2), 0, 0
     return rows
 
 
@@ -85,7 +83,6 @@ class PerturbationReport:
     """Per-epsilon record of weight displacements under unit-Frobenius noise."""
 
     epsilon: float
-    trials: int
     distances_classical: np.ndarray
     distances_ldr: np.ndarray
     bound: Optional[float]  # None when the bound's preconditions fail
@@ -97,10 +94,10 @@ def perturbation_experiment(epsilons=DEFAULT_EPSILONS, trials: int = DEFAULT_TRI
 
     Each trial perturbs the cross by epsilon times a unit-Frobenius Gaussian
     matrix and records how far both solvers' weights move from the exact
-    uniform answer.  The classical arm takes the pseudo-inverse weights G^+ 1
-    (K = D, so no regularization is called for): G^-1 1 from the SVD of the
-    perturbed rows, with singular values at or below K * eps * lambda_1
-    dropped; the rank-d arm uses d = 2, the cross's true dimension.
+    uniform answer.  Both arms are read off one SVD of the perturbed rows.
+    The classical arm takes the pseudo-inverse weights G^+ 1 (K = D, so no
+    regularization is called for), dropping singular values at or below
+    K * eps * lambda_1; the rank-d arm uses d = 2, the cross's true dimension.
 
     Noise is seeded from (seed, epsilon index, trial), so any subset of
     trials reproduces independently of execution order.
@@ -116,20 +113,20 @@ def perturbation_experiment(epsilons=DEFAULT_EPSILONS, trials: int = DEFAULT_TRI
         if not 0.0 < eps < np.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {eps}")
         bound = theorem1_bound(lam_d, spec.alpha, eps)
-        seqs = (np.random.SeedSequence([seed, e_idx, t]) for t in range(trials))
-        noise = np.stack([np.random.default_rng(q).standard_normal((4, 4)) for q in seqs])
+        noise = np.stack([np.random.default_rng([seed, e_idx, t]).standard_normal((4, 4))
+                          for t in range(trials)])
         noise /= np.sqrt(_sqnorm(noise.reshape(trials, 16)))[:, None, None]
-        rows = base + eps * noise
-        w_cl = lle_weights_pinv(rows)
-        w_ldr = ldr_weights(rows, 2)
+        U, lam = _svd(base + eps * noise)
+        w_cl = _classical(U, lam, 0.0, pinv_singular=True)
+        w_ldr = _ldr(U, 2)
         reports.append(PerturbationReport(
-            float(eps), trials, np.sqrt(_sqnorm(w_cl - uniform)),
+            float(eps), np.sqrt(_sqnorm(w_cl - uniform)),
             np.sqrt(_sqnorm(w_ldr - uniform)), bound,
         ))
     return reports
 
 
-def perturbation_report_dict(reports, config: dict | None = None) -> dict:
+def perturbation_report_dict(reports) -> dict:
     """JSON-ready summary: per-epsilon distance stats, bound, violation count.
 
     A violation is a rank-d displacement at or above the bound in a trial
@@ -142,17 +139,14 @@ def perturbation_report_dict(reports, config: dict | None = None) -> dict:
             violations = int(np.sum(r.distances_ldr >= r.bound))
         rows.append({
             "epsilon": r.epsilon,
-            "trials": r.trials,
+            "trials": int(r.distances_ldr.size),
             "bound": r.bound,
             "preconditions_met": r.bound is not None,
             "violations": violations,
             "classical": _distance_stats(r.distances_classical),
             "ldr": _distance_stats(r.distances_ldr),
         })
-    out = {"reports": rows}
-    if config is not None:
-        out["config"] = config
-    return out
+    return {"reports": rows}
 
 
 def _distance_stats(d: np.ndarray) -> dict:
@@ -172,7 +166,8 @@ class Theorem2Result:
 
     ratio = (phi(Z)/N) / (max_i lambda_{d+1}(i) * r_max^2); NaN when the
     spectral tail vanishes (rank-d data reconstructs exactly, leaving both
-    numerator and denominator at rounding level).
+    numerator and denominator at rounding level); inf, past float range, when
+    the denominator, which scales as the cube of the cloud, underflows to 0.
     """
 
     phi_z_over_n: float
@@ -197,6 +192,8 @@ def theorem2_check_from_parts(preimage, W, spectra) -> Theorem2Result:
     r_max = float(spectra.radius.max())
     if max_tail <= TAIL_VANISH_REL * max_lead:
         ratio = float("nan")
+    elif max_tail * r_max ** 2 == 0.0:
+        ratio = float("inf")
     else:
         ratio = phi_z / (max_tail * r_max ** 2)
     return Theorem2Result(phi_z, max_tail, r_max, ratio)

@@ -102,9 +102,8 @@ def embed(W, d: int) -> Embedding:
         constant mode.
     """
     W = sparse.csr_matrix(W)
-    n = W.shape[0]
-    if W.shape[1] != n:
-        raise ValueError(f"W must be square, got shape {W.shape}")
+    M = build_m(W)
+    n = M.shape[0]
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if d > n - 2:
@@ -121,7 +120,6 @@ def embed(W, d: int) -> Embedding:
             n_components=int(closed),
         )
 
-    M = build_m(W)
     k = min(n - 1, max(d + 1, MIN_SUBSPACE))
     basis, lam_max = _bottom_subspace(M, k)
 

@@ -36,8 +36,10 @@ def knn(cloud, K: int) -> np.ndarray:
         raise ValueError(f"K must be < N = {n}, got {K}")
     check_extent(X)
     # Scaling by a power of two is exact, so the graph is unchanged while the
-    # squared distances of a tiny cloud no longer underflow.
-    X = np.ldexp(X, -np.frexp(np.abs(X).max())[1])
+    # squared differences of a tiny spread, at any offset, no longer underflow;
+    # the clip keeps the largest coordinate finite.
+    e = max(np.frexp(np.ptp(X, axis=0).max())[1], np.frexp(np.abs(X).max())[1] - 1021)
+    X = np.ldexp(X, -e)
     indices = np.empty((n, K), dtype=np.intp)
     for i in range(n):
         d2 = cdist(X[i : i + 1], X, metric="sqeuclidean")[0]

@@ -417,6 +417,16 @@ class TestPerturb:
             assert row["violations"] == 0
         assert "violations 0" in capsys.readouterr().out
 
+    def test_report_records_its_config(self, tmp_path):
+        out = tmp_path / "report.json"
+        rc = run("perturb", "--trials", "3", "--epsilons", "1e-2", "1e-4", "--seed", "7",
+                 "--out", str(out))
+        assert rc == 0
+        assert json.loads(out.read_text())["config"] == {
+            "command": "perturb", "epsilons": [1e-2, 1e-4], "trials": 3, "seed": 7,
+            "output": str(out),
+        }
+
     def test_byte_identical_reruns(self, tmp_path):
         blobs = []
         for name in ("r1.json", "r2.json"):
@@ -609,6 +619,20 @@ class TestObjectiveValueCommand:
         assert "point 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tiny_cloud_records_a_null_ratio(self, tmp_path, capsys):
+        # lambda_{d+1} * r_max^2 underflows to zero at this scale, which puts
+        # the ratio past float range.
+        sample = gen_swissroll(500, seed=3)
+        save_csv(1e-110 * sample.points, tmp_path / "pts.csv")
+        save_csv(sample.preimage, tmp_path / "pre.csv")
+        out = tmp_path / "r.json"
+        rc = run("theorem2", "--input", str(tmp_path / "pts.csv"),
+                 "--preimage", str(tmp_path / "pre.csv"), "--k", "10", "--out", str(out))
+        assert rc == 0
+        (row,) = json.loads(out.read_text())["rows"]
+        assert row["ratio"] is None
+        assert "ratio n/a" in capsys.readouterr().out
+
     @pytest.mark.parametrize("source", ["generator", "input"])
     def test_byte_identical_reruns(self, tmp_path, capsys, source):
         if source == "generator":
@@ -644,3 +668,15 @@ class TestTopLevel:
         env = dict(os.environ, PYTHONPATH=str(Path(ldrlle.__file__).parents[1]))
         code = "import sys, ldrlle.cli; assert 'scipy.stats' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_module_entry_point_exits_with_the_command_code(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(ldrlle.__file__).parents[1]))
+
+        def entry(*argv):
+            return subprocess.run([sys.executable, "-m", "ldrlle.cli", *argv], env=env,
+                                  cwd=tmp_path, capture_output=True).returncode
+
+        assert entry("perturb", "--trials", "3", "--out", "r.json") == 0
+        assert len(json.loads((tmp_path / "r.json").read_text())["reports"]) == 3
+        assert entry("embed", "--out", "y.csv") == 2
+        assert not (tmp_path / "y.csv").exists()

@@ -15,9 +15,11 @@ from ldrlle import (
     gen_swissroll,
     grid_cross_neighborhood,
     knn,
+    ldr_weights,
     linear_projection_diagnostic,
     linear_r2,
     lle_weights,
+    lle_weights_pinv,
     monotonicity_1d,
     permuted_preimage_null,
     perturbation_experiment,
@@ -102,10 +104,6 @@ class TestGridCross:
         np.testing.assert_allclose(cross, want, atol=1e-15)
         assert np.sqrt((cross * cross).sum(axis=1).max()) == pytest.approx(s)
 
-    def test_scale_validation(self):
-        with pytest.raises(ValueError):
-            grid_cross_neighborhood(0.0)
-
     def test_classical_weights_are_uniform_for_any_ridge(self):
         w = lle_weights(grid_cross_neighborhood(), delta=123.0)
         np.testing.assert_allclose(w, 0.25, atol=1e-12)
@@ -151,10 +149,39 @@ class TestPerturbationExperiment:
             assert np.all(r.distances_ldr >= 0.0)
             assert np.all(r.distances_classical >= 0.0)
 
+    def test_one_svd_per_noisy_cross(self, monkeypatch):
+        # One factorisation of the unperturbed cross for the bound, then one
+        # per epsilon that both arms read.
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        epsilons = (1e-2, 1e-4, 1e-6)
+        perturbation_experiment(epsilons=epsilons, trials=5)
+        assert len(calls) == 1 + len(epsilons)
+
+    def test_distances_are_the_public_solvers_on_the_same_stack(self):
+        # Trials rebuilt from the seeding by (seed, epsilon index, trial).
+        def norms(v):
+            return np.sqrt(np.array([row @ row for row in v]))
+
+        seed, trials = 4, 6
+        for e_idx, r in enumerate(perturbation_experiment(trials=trials, seed=seed)):
+            noise = np.stack([np.random.default_rng([seed, e_idx, t]).standard_normal((4, 4))
+                              for t in range(trials)])
+            noise /= norms(noise.reshape(trials, 16))[:, None, None]
+            rows = grid_cross_neighborhood() + r.epsilon * noise
+            np.testing.assert_array_equal(r.distances_ldr, norms(ldr_weights(rows, 2) - 0.25))
+            np.testing.assert_array_equal(r.distances_classical,
+                                          norms(lle_weights_pinv(rows) - 0.25))
+
     def test_report_dict_shape(self):
         reports = perturbation_experiment(trials=10, seed=2)
-        payload = perturbation_report_dict(reports, config={"seed": 2})
-        assert payload["config"] == {"seed": 2}
+        payload = perturbation_report_dict(reports)
         assert len(payload["reports"]) == 3
         for row in payload["reports"]:
             assert row["violations"] == 0
@@ -204,6 +231,17 @@ class TestObjectiveValueCheck:
         assert abs(shifted.phi_z_over_n - base.phi_z_over_n) < 1e-10 * max(
             base.phi_z_over_n, 1.0
         )
+
+    @pytest.mark.parametrize("scale", [1e-110, 1e-160])
+    def test_tiny_cloud_ratio_is_past_float_range(self, scale):
+        # The denominator lambda_{d+1} * r_max^2 scales as the cube of the
+        # cloud and underflows to zero, while phi(Z)/N does not scale.
+        sample = gen_swissroll(500, seed=3)
+        X = scale * sample.points
+        W, spectra = assemble_weight_matrix(X, knn(X, 10), "ldr", d=2)
+        result = theorem2_check_from_parts(sample.preimage, W, spectra)
+        assert result.ratio == np.inf
+        assert 0.0 < result.phi_z_over_n < np.inf
 
     def test_permuted_null_deterministic(self):
         sample = gen_open_ring(32)

@@ -86,6 +86,13 @@ class TestKnn:
         with pytest.raises(ValueError, match="overflow"):
             knn(X, 4)
 
+    def test_tiny_spread_beside_a_large_offset(self, rng):
+        # Scaled by the largest coordinate, the varying column's squared
+        # differences would underflow; the spread sets the scale instead.
+        v = 1e-150 * rng.normal(size=50)
+        X = np.column_stack([np.full(50, 1e150), v])
+        np.testing.assert_array_equal(knn(X, 4), knn(v[:, None], 4))
+
     def test_chunked_path_matches_oracle(self, rng):
         # Named for the block sweep knn once used; still a larger cloud than above.
         X = rng.normal(size=(530, 2))
