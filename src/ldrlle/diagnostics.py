@@ -237,8 +237,11 @@ def linear_r2(X, Y) -> float:
     if X.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise ValueError(f"X shape {X.shape} does not match Y shape {Y.shape}")
     # Centring replaces the ones column, whose scale against X's would
-    # otherwise decide which columns lstsq's rank cutoff drops.
-    Xc = X - X.mean(axis=0)
+    # otherwise decide which columns lstsq's rank cutoff drops.  Subtracting
+    # a reference row first is exact for a constant column, whose mean can be
+    # off by far more than a small varying column's spread.
+    Xc = X - X[0]
+    Xc -= Xc.mean(axis=0)
     Yc = Y - Y.mean(axis=0)
     coef, *_ = np.linalg.lstsq(Xc, Yc, rcond=None)
     resid = Yc - Xc @ coef

@@ -3,13 +3,17 @@
 The embedding minimizes the output-side reconstruction error
 sum_i ||y_i - sum_j W_ij y_j||^2 over centered, orthonormal coordinates; the
 minimizer is read off the bottom eigenvectors of M = (I - W)'(I - W), with the
-constant near-zero mode dropped.
+constant zero mode dropped.  embed never forms M, whose condition number is the
+square of that of A = I - W: the eigensolve runs on one sparse LU of A with a
+single pinned diagonal entry, and the output comes from a Rayleigh-Ritz step
+through W.
 """
 
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg
@@ -18,26 +22,26 @@ from .datasets import validate_cloud, write_json, write_rows
 from .errors import DisconnectedGraphError, EigenSolverError
 from .weights import _fix_signs
 
-# An eigenvalue counts as "the zero mode" when it is below this times
-# lambda_max(M) and its eigenvector correlates with the ones vector.
+# The constant mode's eigenvalue ||(I - W)1||^2 / N must be below this times
+# lambda_max(M); otherwise the rows of W do not sum to one.
 ZERO_EIG_REL = 1e-9
-ONES_CORR_MIN = 0.99
 
-# Number of bottom eigenpairs computed internally (when N allows), regardless
-# of the requested d.  Exact reconstruction can fuse the constant mode with
-# up to D coordinate modes into one numerically degenerate cluster; a fixed,
+# Number of bottom eigenpairs past the constant mode computed internally (when
+# N allows), regardless of the requested d.  Exact reconstruction can fuse up
+# to D coordinate modes into one numerically degenerate cluster; a fixed,
 # d-independent subspace keeps the whole cluster in view, and makes the
 # returned coordinates for different d nested by construction.
-MIN_SUBSPACE = 8
+MIN_SUBSPACE = 7
 
 
 @dataclass
 class Embedding:
     """Output coordinates with the eigenvalues they came from.
 
-    Columns of Y are unit-norm eigenvectors of M = (I - W)'(I - W) for the d
-    smallest non-zero eigenvalues, ascending; the near-zero constant mode is
-    dropped and its eigenvalue recorded.  Y'1 = 0 and Y'Y = I hold to 1e-8.
+    Columns of Y are unit-norm eigenvectors of M = (I - W)'(I - W) for its d
+    smallest eigenvalues on the complement of the ones vector, ascending.  The
+    constant mode is dropped and its eigenvalue ||(I - W)1||^2 / N recorded.
+    Y'1 = 0 and Y'Y = I hold to 1e-8.
     """
 
     Y: np.ndarray             # (N, d)
@@ -45,50 +49,76 @@ class Embedding:
     dropped_eigenvalue: float
 
 
-def build_m(W) -> sparse.csr_matrix:
-    """M = (I - W)'(I - W) in CSR form."""
-    W = sparse.csr_matrix(W)
+def _identity_minus(W) -> sparse.csr_matrix:
+    """A = I - W in CSR form, for a square sparse W."""
     n = W.shape[0]
     if W.shape[1] != n:
         raise ValueError(f"W must be square, got shape {W.shape}")
-    A = sparse.eye(n, format="csr") - W
+    return sparse.eye(n, format="csr") - W
+
+
+def build_m(W) -> sparse.csr_matrix:
+    """M = (I - W)'(I - W) in CSR form."""
+    A = _identity_minus(sparse.csr_matrix(W))
     return (A.T @ A).tocsr()
 
 
-def _bottom_subspace(M, k: int):
-    """Orthonormal basis of M's k-dim bottom eigenspace, and lambda_max(M), by ARPACK.
+def _bottom_subspace(A, r: int, k: int):
+    """Orthonormal basis of the k-dim bottom eigenspace of M = A'A on the
+    complement of the ones vector, and lambda_max(M), by ARPACK.
 
-    The bottom basis comes from shift-invert about zero.  When M is singular to
-    working precision its LU factorization can fail; the solve is then retried
-    about a small negative shift, which keeps M - sigma*I definite.
+    A = I - W has the ones vector as its right null vector and some z as its
+    left one.  Pinning the diagonal entry r, a point of W's one closed class,
+    gives A_hat = A + e_r e_r', whose determinant is proportional to z_r, so
+    A_hat is exactly nonsingular and factors once, with A's sparsity pattern.
+    z = A_hat^-T e_r, since A_hat'z is proportional to e_r and 1'A' = 0.
+    Shift-invert about zero then applies P1 A_hat^-1 Pz A_hat^-T P1, where P1
+    and Pz project out the ones vector and z: M's pseudo-inverse on the
+    complement of the ones vector.  Both projections are needed: without
+    them the null directions, amplified by both inverses, swamp the rest.
     """
-    n = M.shape[0]
+    n = A.shape[0]
     # Fixed, non-constant start vector keeps ARPACK deterministic; the
-    # constant vector is (near) the null space of M and would stall it.
+    # constant vector spans the null space of both operators and would stall it.
     v0 = np.cos(np.arange(n))
-    A = M.tocsc()
+    op = sparse.linalg.aslinearoperator(A)
+    M = op.H @ op  # x -> A'(Ax); M itself is never formed
     try:
-        lam_max = float(
-            sparse.linalg.eigsh(M, k=1, which="LM", v0=v0, return_eigenvectors=False)[0]
-        )
-        try:
-            _, basis = sparse.linalg.eigsh(A, k=k, sigma=0.0, which="LM", v0=v0)
-        except RuntimeError:
-            _, basis = sparse.linalg.eigsh(
-                A, k=k, sigma=-1e-6 * lam_max, which="LM", v0=v0
-            )
-    except sparse.linalg.ArpackError as exc:
+        pinned = A + sparse.csr_matrix(([1.0], ([r], [r])), shape=(n, n))
+        lu = sparse.linalg.splu(pinned.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        z = lu.solve(np.eye(1, n, r)[0], trans="T")
+        z /= np.linalg.norm(z)
+
+        def pinv_m(x):
+            y = lu.solve(x - x.mean(axis=0), trans="T")
+            y = lu.solve(y - np.multiply.outer(z, z @ y))
+            return y - y.mean(axis=0)
+
+        pinv = sparse.linalg.LinearOperator((n, n), matvec=pinv_m, matmat=pinv_m, dtype=float)
+        lam_max = float(sparse.linalg.eigsh(M, k=1, v0=v0, return_eigenvectors=False)[0])
+        _, basis = sparse.linalg.eigsh(M, k=k, sigma=0.0, v0=v0, OPinv=pinv)
+    # splu raises RuntimeError on an exactly singular factor; ArpackError is its subclass.
+    except RuntimeError as exc:
         raise EigenSolverError(f"eigensolver failed: {exc}") from exc
-    return basis, lam_max
+    # One more application of the inverse purifies the Ritz vectors: the
+    # Lanczos recurrence can leave in them components of modes far above the
+    # bottom cluster, whose energy adds visibly to the cluster's eigenvalues
+    # when those sit at rounding level (classical weights on a sheet).
+    # scipy's QR, not numpy's: with two BLAS threads, numpy's QR of this tall
+    # block left later scipy BLAS work (a dense eigh) about 1.8x slower.
+    return scipy.linalg.qr(pinv @ basis, mode="economic")[0], lam_max
 
 
 def embed(W, d: int) -> Embedding:
     """Embed into d dimensions from a row-stochastic weight matrix.
 
-    Computes the bottom eigenspace of M = (I - W)'(I - W), drops its
-    ones-aligned near-zero direction, diagonalizes M on the rest, and returns
-    the d smallest pairs in ascending eigenvalue order with deterministic
-    column signs (largest-magnitude entry positive).
+    Computes the bottom eigenspace of M = (I - W)'(I - W) on the complement
+    of the ones vector without forming M, diagonalizes M on it through W,
+    and returns the d smallest pairs in ascending eigenvalue order with
+    deterministic column signs (largest-magnitude entry positive).  The
+    dropped constant mode's eigenvalue is ||(I - W)1||^2 / N, computed
+    directly.
 
     Raises
     ------
@@ -98,12 +128,12 @@ def embed(W, d: int) -> Embedding:
         class adds a null vector to I - W, so the zero eigenvalue is not
         simple; a W that splits into pieces has at least one per piece.
     EigenSolverError
-        when the eigensolver failed, or no eigenpair looks like the
-        constant mode.
+        when the factorization or the eigensolver failed, or the constant
+        mode's eigenvalue is not near zero.
     """
     W = sparse.csr_matrix(W)
-    M = build_m(W)
-    n = M.shape[0]
+    A = _identity_minus(W)
+    n = A.shape[0]
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if d > n - 2:
@@ -112,48 +142,39 @@ def embed(W, d: int) -> Embedding:
     src, dst = W.nonzero()
     edges = sparse.coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
     n_comp, labels = csgraph.connected_components(edges, directed=True, connection="strong")
-    closed = n_comp - np.unique(labels[src[labels[src] != labels[dst]]]).size
+    leaving = np.unique(labels[src[labels[src] != labels[dst]]])
+    closed = n_comp - leaving.size
     if closed > 1:
         raise DisconnectedGraphError(
             f"neighbor graph has {closed} connected components that no weight leaves; "
             "embed each component separately",
             n_components=int(closed),
         )
-
-    k = min(n - 1, max(d + 1, MIN_SUBSPACE))
-    basis, lam_max = _bottom_subspace(M, k)
-
-    # Remove the constant mode and rotate the rest by one Rayleigh-Ritz step
-    # with M applied through W: G's first column is the ones-aligned direction
-    # of the computed subspace and the others span its complement there, so
-    # R = (I - W) G yields both the dropped residual and G1'M G1 = R1'R1.
-    # Nothing depends on ARPACK's eigenvalues, which are accurate only to
-    # about machine epsilon times lambda_max: when exact reconstruction makes
-    # the bottom cluster numerically degenerate (the linear-projection
-    # regime), they would set the output rotation by rounding, not by W.
-    y = basis.T @ np.full(n, 1.0 / np.sqrt(n))
-    _, (captured,), Vt = np.linalg.svd(y[None, :])
-    if captured < ONES_CORR_MIN:
-        raise EigenSolverError(
-            f"the constant mode is missing from the computed bottom subspace "
-            f"(captured fraction {captured:.3f}); the eigensolve looks unreliable"
-        )
-    G = basis @ Vt.T
-    R = G - W @ G
-    dropped = float(R[:, 0] @ R[:, 0])
+    # The lowest index of the one closed class, whose diagonal entry is pinned.
+    r = int(np.flatnonzero(~np.isin(labels, leaving))[0])
+    basis, lam_max = _bottom_subspace(A, r, min(n - 2, max(d, MIN_SUBSPACE)))
+    u = A @ np.full(n, 1.0 / np.sqrt(n))
+    dropped = float(u @ u)
     if dropped >= ZERO_EIG_REL * lam_max:
         raise EigenSolverError(
             f"constant-mode eigenvalue {dropped:.3e} is not near zero "
             f"(lambda_max = {lam_max:.3e}); weight rows may not sum to one"
         )
-    _, V = np.linalg.eigh(R[:, 1:].T @ R[:, 1:])
-    # Candidate columns span the constant-free part of the computed subspace.
+
+    # Rotate the constant-free basis by one Rayleigh-Ritz step with M applied
+    # through W: R = (I - W) basis gives basis'M basis = R'R.  Nothing depends
+    # on ARPACK's eigenvalues, which are accurate only to about machine
+    # epsilon times lambda_max: when exact reconstruction makes the bottom
+    # cluster numerically degenerate (the linear-projection regime), they
+    # would set the output rotation by rounding, not by W.
+    R = basis - W @ basis
+    _, V = np.linalg.eigh(R.T @ R)
     # Eigenvalues are reported as directly evaluated squared residual norms
     # ||(I - W) c||^2 (the Rayleigh quotients), so phi(Y) and the eigenvalue
     # sum agree identically.  The candidate pool depends on the subspace
     # size, not on d, so smaller-d output is a prefix of larger-d output for
     # the same W.
-    C = G[:, 1:] @ V
+    C = basis @ V
     res = C - W @ C
     mu = (res * res).sum(axis=0)
     order = np.argsort(mu, kind="stable")[:d]

@@ -115,12 +115,15 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
 
 
 def _svd(rows: np.ndarray):
-    """Stacked full SVD: sign-fixed left-singular bases (N, K, K) and the
-    singular values, descending and zero-padded to (N, K)."""
+    """Stacked full SVD: left-singular bases (N, K, K) with LAPACK's column
+    signs, and the singular values, descending and zero-padded to (N, K).
+
+    Every weight and alpha is invariant under a column's sign, and negation
+    is exact, so only a caller that returns a basis fixes its signs."""
     U, s, _ = np.linalg.svd(rows, full_matrices=True)
     lam = np.zeros(rows.shape[:2])
     lam[:, : s.shape[1]] = s
-    return _fix_signs(U), lam
+    return U, lam
 
 
 def _split(U: np.ndarray, lam: np.ndarray, rows: np.ndarray, d: int) -> Spectra:
@@ -218,6 +221,7 @@ def neighborhood_spectrum(rows, d: int) -> NeighborhoodSpectrum:
     rows = rows[None]
     U, lam = _svd(rows)
     spec = _split(U, lam, rows, d)
+    U = _fix_signs(U)
     return NeighborhoodSpectrum(spec.singular_values[0], U[0, :, :d], U[0, :, d:],
                                 float(spec.alpha[0]), d, bool(spec.gap_warning[0]))
 

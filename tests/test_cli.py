@@ -405,6 +405,23 @@ class TestEmbed:
         # Sidecars differ only in the recorded output path.
         assert a_json.replace(b"a.csv", b"") == b_json.replace(b"b.csv", b"")
 
+    @pytest.mark.parametrize("method", ["classical", "ldr"])
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path, method):
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(ldrlle.__file__).parents[1]),
+                       OPENBLAS_NUM_THREADS=threads)
+            out = tmp_path / threads / "y.csv"
+            out.parent.mkdir()
+            subprocess.run([sys.executable, "-m", "ldrlle.cli", "embed", "--generator",
+                            "swissroll", "--n", "1000", "--method", method, "--out", str(out),
+                            "--dump-weights", str(out.with_name("w.csv"))],
+                           env=env, check=True, capture_output=True)
+            sidecar = json.loads(out.with_suffix(".json").read_text())
+            sidecar["output"] = None
+            runs.append((out.read_bytes(), out.with_name("w.csv").read_bytes(), sidecar))
+        assert runs[0] == runs[1]
+
 
 class TestPerturb:
     def test_report_and_exit_code(self, tmp_path, capsys):

@@ -304,6 +304,13 @@ class TestLinearR2:
         moved = np.ldexp(X + np.array(offset) * np.ptp(X, axis=0), k)
         assert linear_r2(moved, Y) == pytest.approx(linear_r2(X, Y), abs=1e-9)
 
+    def test_constant_column_far_above_a_tiny_varying_one(self):
+        # The constant column's mean is off by far more than the varying
+        # column's spread; centring must not leave that error behind.
+        v = np.linspace(0.0, 1e-148, 50)
+        X = np.column_stack([v, np.full(50, 1e150)])
+        assert linear_r2(X, np.linspace(0.0, 1.0, 50)) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestProcrustesResidual:
     def test_rigid_motion_and_scale_align_perfectly(self, rng):

@@ -232,10 +232,10 @@ class TestEmbed:
         [(chain3_weights(), 1, [2.25]), (cycle_weights(6), 2, [0.25, 0.25])],
         ids=["chain3", "cycle6"],
     )
-    def test_singular_factorization_takes_the_shifted_retry(self, W, d, want, monkeypatch):
-        # On these small W with exactly representable weights the LU
-        # factorization of the singular M at sigma = 0 fails, so the solve is
-        # repeated about a small negative shift.
+    def test_singular_weights_take_no_shifted_retry(self, W, d, want, monkeypatch):
+        # On these small W with exactly representable weights M and I - W are
+        # exactly singular; the pinned factorization of I - W is not, so every
+        # eigensolve runs about zero or without a shift.
         sigmas = []
         eigsh = scipy.sparse.linalg.eigsh
 
@@ -245,9 +245,18 @@ class TestEmbed:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording_eigsh)
         emb = embed(W, d)
-        assert any(s is not None and s < 0.0 for s in sigmas)
+        assert sigmas
+        assert all(s is None or s == 0.0 for s in sigmas)
         np.testing.assert_allclose(emb.eigenvalues, want, atol=1e-12)
         assert_embedding_contract(emb, W)
+
+    def test_m_is_never_formed(self, ring16, ring16_graph, monkeypatch):
+        def refusing_build_m(W):
+            raise AssertionError("embed formed M")
+
+        W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
+        monkeypatch.setattr(embedding, "build_m", refusing_build_m)
+        assert_embedding_contract(embed(W, 2), W)
 
     @given(
         n=st.integers(3, 40),
@@ -289,14 +298,24 @@ class TestEmbed:
         assert starts
         assert np.min(np.cos(subspace_angles(first.Y, second.Y))) >= 0.999
 
-    def test_missing_constant_mode_is_typed(self, ring16, ring16_graph, monkeypatch):
-        def constant_free_basis(M, k):
-            B = np.random.default_rng(0).normal(size=(M.shape[0], k))
-            return np.linalg.qr(B - B.mean(axis=0))[0], 1.0
+    def test_classical_eigenvalues_reach_the_bottom_singular_values(self):
+        # Classical weights reconstruct the swiss roll exactly, so the bottom
+        # of M is a cluster near 1e-21.  Its smallest non-zero eigenvalues are
+        # the squared singular values of I - W, which a dense SVD gets to an
+        # absolute error of about eps * ||I - W||.  Ritz vectors that keep
+        # components of higher modes overshoot them (by 25% on this cloud).
+        X = gen_swissroll(1000, seed=12).points
+        W, _ = assemble_weight_matrix(X, knn(X, 12), "classical", d=2)
+        sv = np.linalg.svd((sparse.eye(1000) - W).toarray(), compute_uv=False)
+        assert embed(W, 2).eigenvalues.sum() <= 1.01 * (sv[-3:-1] ** 2).sum()
 
-        monkeypatch.setattr(embedding, "_bottom_subspace", constant_free_basis)
+    def test_factorization_failure_is_typed(self, ring16, ring16_graph, monkeypatch):
+        def failing_splu(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
         W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
-        with pytest.raises(EigenSolverError, match="constant mode is missing"):
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_splu)
+        with pytest.raises(EigenSolverError, match="eigensolver failed: Factor is exactly singular"):
             embed(W, 2)
 
     def test_eigensolver_failure_is_typed(self, ring16, ring16_graph, monkeypatch):
