@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import orthogonal_procrustes
 
 from .embedding import phi
-from .errors import UndefinedCorrelationError
+from .errors import DegenerateWeightsError, UndefinedCorrelationError
 from .weights import _classical, _ldr, _sqnorm, _svd, neighborhood_spectrum
 
 # Top singular value of the rescaled grid cross; must stay below 1 for the
@@ -100,7 +100,9 @@ def perturbation_experiment(epsilons=DEFAULT_EPSILONS, trials: int = DEFAULT_TRI
     K * eps * lambda_1; the rank-d arm uses d = 2, the cross's true dimension.
 
     Noise is seeded from (seed, epsilon index, trial), so any subset of
-    trials reproduces independently of execution order.
+    trials reproduces independently of execution order.  A trial whose
+    classical weights sum to zero raises DegenerateWeightsError naming its
+    epsilon and trial, with the trial as point_index.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -117,7 +119,11 @@ def perturbation_experiment(epsilons=DEFAULT_EPSILONS, trials: int = DEFAULT_TRI
                           for t in range(trials)])
         noise /= np.sqrt(_sqnorm(noise.reshape(trials, 16)))[:, None, None]
         U, lam = _svd(base + eps * noise)
-        w_cl = _classical(U, lam, 0.0, pinv_singular=True)
+        try:
+            w_cl = _classical(U, lam, 0.0, pinv_singular=True)
+        except DegenerateWeightsError as exc:
+            exc.args = (f"epsilon {eps:g}, trial {exc.point_index}: {exc.args[0]}",)
+            raise
         w_ldr = _ldr(U, 2)
         reports.append(PerturbationReport(
             float(eps), np.sqrt(_sqnorm(w_cl - uniform)),

@@ -4,9 +4,10 @@ The embedding minimizes the output-side reconstruction error
 sum_i ||y_i - sum_j W_ij y_j||^2 over centered, orthonormal coordinates; the
 minimizer is read off the bottom eigenvectors of M = (I - W)'(I - W), with the
 constant zero mode dropped.  embed never forms M, whose condition number is the
-square of that of A = I - W: the eigensolve runs on one sparse LU of A with a
-single pinned diagonal entry, and the output comes from a Rayleigh-Ritz step
-through W.
+square of that of A = I - W, nor applies it: one ARPACK run on M's
+pseudo-inverse, applied through one sparse LU of A with a single pinned
+diagonal entry, gives the bottom eigenspace, and the output comes from a
+Rayleigh-Ritz step through W.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,8 @@ from .errors import DisconnectedGraphError, EigenSolverError
 from .weights import _fix_signs
 
 # The constant mode's eigenvalue ||(I - W)1||^2 / N must be below this times
-# lambda_max(M); otherwise the rows of W do not sum to one.
+# ||I - W||_F^2 / N, a lower bound on the largest eigenvalue of M that needs
+# no solve; otherwise the rows of W do not sum to one.
 ZERO_EIG_REL = 1e-9
 
 # Number of bottom eigenpairs past the constant mode computed internally (when
@@ -63,26 +65,25 @@ def build_m(W) -> sparse.csr_matrix:
     return (A.T @ A).tocsr()
 
 
-def _bottom_subspace(A, r: int, k: int):
+def _bottom_subspace(A, r: int, k: int) -> np.ndarray:
     """Orthonormal basis of the k-dim bottom eigenspace of M = A'A on the
-    complement of the ones vector, and lambda_max(M), by ARPACK.
+    complement of the ones vector, by ARPACK on M's pseudo-inverse.
 
     A = I - W has the ones vector as its right null vector and some z as its
     left one.  Pinning the diagonal entry r, a point of W's one closed class,
     gives A_hat = A + e_r e_r', whose determinant is proportional to z_r, so
     A_hat is exactly nonsingular and factors once, with A's sparsity pattern.
     z = A_hat^-T e_r, since A_hat'z is proportional to e_r and 1'A' = 0.
-    Shift-invert about zero then applies P1 A_hat^-1 Pz A_hat^-T P1, where P1
-    and Pz project out the ones vector and z: M's pseudo-inverse on the
-    complement of the ones vector.  Both projections are needed: without
-    them the null directions, amplified by both inverses, swamp the rest.
+    ARPACK keeps the largest eigenvalues of P1 A_hat^-1 Pz A_hat^-T P1, where
+    P1 and Pz project out the ones vector and z: M's pseudo-inverse on the
+    complement of the ones vector, whose largest eigenvalues are the
+    reciprocals of M's smallest.  Both projections are needed: without them
+    the null directions, amplified by both inverses, swamp the rest.
     """
     n = A.shape[0]
     # Fixed, non-constant start vector keeps ARPACK deterministic; the
-    # constant vector spans the null space of both operators and would stall it.
+    # constant vector spans the operator's null space and would stall it.
     v0 = np.cos(np.arange(n))
-    op = sparse.linalg.aslinearoperator(A)
-    M = op.H @ op  # x -> A'(Ax); M itself is never formed
     try:
         pinned = A + sparse.csr_matrix(([1.0], ([r], [r])), shape=(n, n))
         lu = sparse.linalg.splu(pinned.tocsc(), permc_spec="MMD_AT_PLUS_A",
@@ -96,8 +97,7 @@ def _bottom_subspace(A, r: int, k: int):
             return y - y.mean(axis=0)
 
         pinv = sparse.linalg.LinearOperator((n, n), matvec=pinv_m, matmat=pinv_m, dtype=float)
-        lam_max = float(sparse.linalg.eigsh(M, k=1, v0=v0, return_eigenvectors=False)[0])
-        _, basis = sparse.linalg.eigsh(M, k=k, sigma=0.0, v0=v0, OPinv=pinv)
+        _, basis = sparse.linalg.eigsh(pinv, k=k, v0=v0)
     # splu raises RuntimeError on an exactly singular factor; ArpackError is its subclass.
     except RuntimeError as exc:
         raise EigenSolverError(f"eigensolver failed: {exc}") from exc
@@ -107,18 +107,19 @@ def _bottom_subspace(A, r: int, k: int):
     # when those sit at rounding level (classical weights on a sheet).
     # scipy's QR, not numpy's: with two BLAS threads, numpy's QR of this tall
     # block left later scipy BLAS work (a dense eigh) about 1.8x slower.
-    return scipy.linalg.qr(pinv @ basis, mode="economic")[0], lam_max
+    return scipy.linalg.qr(pinv @ basis, mode="economic")[0]
 
 
 def embed(W, d: int) -> Embedding:
     """Embed into d dimensions from a row-stochastic weight matrix.
 
     Computes the bottom eigenspace of M = (I - W)'(I - W) on the complement
-    of the ones vector without forming M, diagonalizes M on it through W,
-    and returns the d smallest pairs in ascending eigenvalue order with
-    deterministic column signs (largest-magnitude entry positive).  The
-    dropped constant mode's eigenvalue is ||(I - W)1||^2 / N, computed
-    directly.
+    of the ones vector with one ARPACK run on M's pseudo-inverse, without
+    forming or applying M, diagonalizes M on it through W, and returns the d
+    smallest pairs in ascending eigenvalue order with deterministic column
+    signs (largest-magnitude entry positive).  The dropped constant mode's
+    eigenvalue is ||(I - W)1||^2 / N, computed directly and checked against
+    ||I - W||_F^2 / N before anything is factored.
 
     Raises
     ------
@@ -152,21 +153,23 @@ def embed(W, d: int) -> Embedding:
         )
     # The lowest index of the one closed class, whose diagonal entry is pinned.
     r = int(np.flatnonzero(~np.isin(labels, leaving))[0])
-    basis, lam_max = _bottom_subspace(A, r, min(n - 2, max(d, MIN_SUBSPACE)))
     u = A @ np.full(n, 1.0 / np.sqrt(n))
     dropped = float(u @ u)
-    if dropped >= ZERO_EIG_REL * lam_max:
+    # ||A||_F^2 / N <= ||A||_2^2 = lambda_max(M), read off A's stored entries.
+    scale = float(np.square(A.data).sum()) / n
+    if dropped >= ZERO_EIG_REL * scale:
         raise EigenSolverError(
             f"constant-mode eigenvalue {dropped:.3e} is not near zero "
-            f"(lambda_max = {lam_max:.3e}); weight rows may not sum to one"
+            f"(||I - W||_F^2 / N = {scale:.3e}); weight rows may not sum to one"
         )
+    basis = _bottom_subspace(A, r, min(n - 2, max(d, MIN_SUBSPACE)))
 
     # Rotate the constant-free basis by one Rayleigh-Ritz step with M applied
     # through W: R = (I - W) basis gives basis'M basis = R'R.  Nothing depends
-    # on ARPACK's eigenvalues, which are accurate only to about machine
-    # epsilon times lambda_max: when exact reconstruction makes the bottom
-    # cluster numerically degenerate (the linear-projection regime), they
-    # would set the output rotation by rounding, not by W.
+    # on ARPACK's eigenvalues, which are those of M's pseudo-inverse and are
+    # discarded: when exact reconstruction makes the bottom cluster
+    # numerically degenerate (the linear-projection regime), they would set
+    # the output rotation by rounding, not by W.
     R = basis - W @ basis
     _, V = np.linalg.eigh(R.T @ R)
     # Eigenvalues are reported as directly evaluated squared residual norms

@@ -506,6 +506,13 @@ class TestPerturb:
         rc = run("perturb", "--trials", "0", "--out", str(tmp_path / "r.json"))
         assert rc == 2
 
+    def test_degenerate_trial_is_a_numerical_failure_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        rc = run("perturb", "--epsilons", "1e-14", "--out", str(out))
+        assert rc == 5
+        assert "error: epsilon 1e-14, trial 528: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestObjectiveValueCommand:
     def test_generator_sweep(self, tmp_path, capsys):

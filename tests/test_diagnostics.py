@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldrlle import (
+    DegenerateWeightsError,
     UndefinedCorrelationError,
     assemble_weight_matrix,
     embed,
@@ -163,6 +164,13 @@ class TestPerturbationExperiment:
         epsilons = (1e-2, 1e-4, 1e-6)
         perturbation_experiment(epsilons=epsilons, trials=5)
         assert len(calls) == 1 + len(epsilons)
+
+    def test_degenerate_trial_names_its_epsilon_and_trial(self):
+        # So small a perturbation is below the pseudo-inverse cutoff: the
+        # classical arm falls back to the planar cross, whose weights sum to zero.
+        with pytest.raises(DegenerateWeightsError, match="^epsilon 1e-15, trial 0: ") as excinfo:
+            perturbation_experiment(epsilons=(1e-15,), trials=3)
+        assert excinfo.value.point_index == 0
 
     def test_distances_are_the_public_solvers_on_the_same_stack(self):
         # Trials rebuilt from the seeding by (seed, epsilon index, trial).

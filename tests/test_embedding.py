@@ -1,5 +1,6 @@
 """Spectral embedding: the quadratic form, the eigensolve, and its contracts."""
 
+import inspect
 import json
 
 import numpy as np
@@ -258,6 +259,27 @@ class TestEmbed:
         monkeypatch.setattr(embedding, "build_m", refusing_build_m)
         assert_embedding_contract(embed(W, 2), W)
 
+    @pytest.mark.parametrize("method", ["ldr", "classical"])
+    def test_one_eigensolve_per_embed(self, method, ring16, ring16_graph, monkeypatch):
+        # ARPACK runs once, in standard mode on M's pseudo-inverse: no solve
+        # for lambda_max and no shift-invert wrapper around an operator for M.
+        if method == "ldr":
+            W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
+        else:
+            X = gen_swissroll(600, seed=1).points
+            W, _ = assemble_weight_matrix(X, knn(X, 12), "classical", d=2)
+        calls = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def recording_eigsh(*args, **kwargs):
+            calls.append(inspect.signature(eigsh).bind(*args, **kwargs).arguments)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording_eigsh)
+        assert_embedding_contract(embed(W, 2), W)
+        assert len(calls) == 1
+        assert "sigma" not in calls[0] and "OPinv" not in calls[0]
+
     @given(
         n=st.integers(3, 40),
         k=st.integers(1, 4),
@@ -370,12 +392,20 @@ class TestEmbed:
         with pytest.raises(ValueError, match="square"):
             embed(sparse.csr_matrix(np.ones((3, 4))), 1)
 
-    def test_rows_not_summing_to_one_have_no_zero_mode(self, ring16, ring16_graph):
-        # Halving W leaves rows summing to 1/2: the ones vector is no longer
-        # reconstructed, so the constant mode's eigenvalue is far from zero.
+    @pytest.mark.parametrize("factor", [0.5, 1 + 1e-3])
+    def test_rows_not_summing_to_one_have_no_zero_mode(self, factor, ring16, ring16_graph):
+        # Scaling W leaves rows summing to the factor: the ones vector is no
+        # longer reconstructed, so the constant mode's eigenvalue is far from zero.
         W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
         with pytest.raises(EigenSolverError, match="constant-mode eigenvalue .* not near zero"):
-            embed(0.5 * W, 1)
+            embed(factor * W, 1)
+
+    def test_rows_summing_to_one_within_the_cutoff_are_embedded(self, ring16, ring16_graph):
+        # The constant mode's eigenvalue is 1e-10 here, below 1e-9 times
+        # ||I - W||_F^2 / N = 1.44 (the cutoff factor is 1 + 3.8e-5).
+        W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
+        W = W * (1 + 1e-5)
+        assert_embedding_contract(embed(W, 1), W)
 
 
 class TestSaveEmbedding:

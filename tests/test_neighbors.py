@@ -117,6 +117,20 @@ def test_graph_is_invariant_under_power_of_two_scaling(roll600, k):
     np.testing.assert_array_equal(knn(np.ldexp(X, k), 10), graph)
 
 
+@given(side=st.integers(2, 5), dim=st.integers(1, 3), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_lattices_with_duplicates_match_the_oracle(side, dim, data):
+    # Integer lattices tie at every distance, and duplicated rows tie at zero;
+    # integer coordinates make every squared distance exact for both searches.
+    lattice = np.stack(np.meshgrid(*[np.arange(side)] * dim, indexing="ij"), axis=-1)
+    lattice = lattice.reshape(-1, dim).astype(float)
+    dup = data.draw(st.lists(st.integers(0, len(lattice) - 1), max_size=20))
+    X = np.concatenate([lattice, lattice[dup]])
+    X = X[data.draw(st.permutations(range(len(X))))]
+    K = data.draw(st.integers(1, min(12, len(X) - 1)))
+    np.testing.assert_array_equal(knn(X, K), brute_force_knn(X, K))
+
+
 class TestNeighborhoodMatrix:
     def test_rows_are_centered_differences(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
