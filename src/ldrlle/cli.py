@@ -145,7 +145,7 @@ def cmd_perturb(args) -> int:
     for row in payload["reports"]:
         bound = "n/a" if row["bound"] is None else f"{row['bound']:.3e}"
         print(
-            f"epsilon {row['epsilon']:.0e}: median classical "
+            f"epsilon {row['epsilon']:g}: median classical "
             f"{row['classical']['median']:.3e}, median rank-d "
             f"{row['ldr']['median']:.3e}, bound {bound}, "
             f"violations {row['violations']}"

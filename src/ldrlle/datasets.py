@@ -2,9 +2,10 @@
 
 Every generator returns the embedded sample together with its ground-truth
 low-dimensional parameters (the preimage), so an embedding can later be
-scored against a known answer.  Randomness comes from numpy's PCG64 bit
-generator seeded per call; uniform variates are PCG64's native 53-bit-mantissa
-doubles, so a given (n, seed) pair reproduces bit-identically across runs.
+scored against a known answer.  Every draw comes from one
+np.random.default_rng(seed) call, numpy's PCG64 bit generator; uniform
+variates are PCG64's native 53-bit-mantissa doubles, so a given (n, seed)
+pair reproduces bit-identically across runs.
 """
 
 import json
@@ -19,10 +20,6 @@ from .errors import CsvFormatError, LdrLleError
 # point spacings at n = 16, so Euclidean neighborhoods (K <= 4) never jump
 # the opening and arc length stays recoverable from the graph.
 RING_ARC = 1.5 * np.pi
-
-
-def _rng(seed):
-    return np.random.Generator(np.random.PCG64(seed))
 
 
 def validate_cloud(data) -> np.ndarray:
@@ -84,7 +81,7 @@ def gen_scurve(n: int, seed: int = 0) -> GeneratedSample:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    uv = _rng(seed).random((n, 2))
+    uv = np.random.default_rng(seed).random((n, 2))
     t = 3.0 * np.pi * (uv[:, 0] - 0.5)
     h = 2.0 * uv[:, 1]
     return GeneratedSample(scurve_map(t, h), np.column_stack([t, h]))
@@ -98,7 +95,7 @@ def gen_swissroll(n: int, seed: int = 0) -> GeneratedSample:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    uv = _rng(seed).random((n, 2))
+    uv = np.random.default_rng(seed).random((n, 2))
     t = 1.5 * np.pi * (1.0 + 2.0 * uv[:, 0])
     h = 21.0 * uv[:, 1]
     return GeneratedSample(swissroll_map(t, h), np.column_stack([t, h]))

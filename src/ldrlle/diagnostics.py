@@ -15,7 +15,7 @@ from scipy.linalg import orthogonal_procrustes
 
 from .embedding import phi
 from .errors import DegenerateWeightsError, UndefinedCorrelationError
-from .weights import _classical, _ldr, _sqnorm, _svd, neighborhood_spectrum
+from .weights import _classical, _ldr, _sqnorm, _svd
 
 # Top singular value of the rescaled grid cross; must stay below 1 for the
 # stability bound to apply, and 0.99 keeps all the study epsilons inside the
@@ -98,26 +98,28 @@ def perturbation_experiment(epsilons=DEFAULT_EPSILONS, trials: int = DEFAULT_TRI
     The classical arm takes the pseudo-inverse weights G^+ 1 (K = D, so no
     regularization is called for), dropping singular values at or below
     K * eps * lambda_1; the rank-d arm uses d = 2, the cross's true dimension.
+    The bound takes lambda_d = CROSS_LAMBDA1 (the cross's two non-zero
+    singular values coincide) and alpha = 0 from the cross's definition (see
+    grid_cross_neighborhood).
 
-    Noise is seeded from (seed, epsilon index, trial), so any subset of
-    trials reproduces independently of execution order.  A trial whose
-    classical weights sum to zero raises DegenerateWeightsError naming its
-    epsilon and trial, with the trial as point_index.
+    The noise is one draw, np.random.default_rng(seed).standard_normal((trials,
+    4, 4)), taken before the epsilon loop: trial t is the same direction at
+    every epsilon, a report depends only on (seed, trials, epsilon), and a run
+    with fewer trials is a prefix of one with more.  A trial whose classical
+    weights sum to zero raises DegenerateWeightsError naming its epsilon and
+    trial, with the trial as point_index.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     base = grid_cross_neighborhood()
     uniform = np.full(4, 0.25)
-    spec = neighborhood_spectrum(base, 2)
-    lam_d = float(spec.singular_values[1])
+    noise = np.random.default_rng(seed).standard_normal((trials, 4, 4))
+    noise /= np.sqrt(_sqnorm(noise.reshape(trials, 16)))[:, None, None]
     reports = []
-    for e_idx, eps in enumerate(epsilons):
+    for eps in epsilons:
         if not 0.0 < eps < np.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {eps}")
-        bound = theorem1_bound(lam_d, spec.alpha, eps)
-        noise = np.stack([np.random.default_rng([seed, e_idx, t]).standard_normal((4, 4))
-                          for t in range(trials)])
-        noise /= np.sqrt(_sqnorm(noise.reshape(trials, 16)))[:, None, None]
+        bound = theorem1_bound(CROSS_LAMBDA1, 0.0, eps)
         U, lam = _svd(base + eps * noise)
         try:
             w_cl = _classical(U, lam, 0.0, pinv_singular=True)
@@ -214,7 +216,7 @@ def permuted_preimage_null(W, preimage, permutations: int = 20, seed: int = 0) -
     if permutations < 1:
         raise ValueError(f"permutations must be >= 1, got {permutations}")
     Z = np.asarray(preimage, dtype=float)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.default_rng(seed)
     n = W.shape[0]
     vals = [phi(Z[rng.permutation(n)], W) / n for _ in range(permutations)]
     return float(np.median(vals))

@@ -290,6 +290,15 @@ class TestEmbed:
         assert "x.json" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_json_output_is_refused_before_any_dump_is_written(self, tmp_path, capsys):
+        rc = run(
+            "embed", "--generator", "ring", "--n", "16", "--k", "4", "--d", "1",
+            "--out", str(tmp_path / "y.json"), "--dump-weights", str(tmp_path / "w.csv"),
+        )
+        assert rc == 2
+        assert "its own sidecar path" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_spectra_dump_without_a_rank_split_is_refused(self, tmp_path, capsys):
         rc = run(
             "embed", "--generator", "ring", "--n", "16", "--k", "2", "--d", "3",
@@ -444,6 +453,12 @@ class TestPerturb:
             "output": str(out),
         }
 
+    def test_summary_prints_the_epsilon_it_ran(self, tmp_path, capsys):
+        rc = run("perturb", "--epsilons", "2.5e-3", "--trials", "3",
+                 "--out", str(tmp_path / "r.json"))
+        assert rc == 0
+        assert "epsilon 0.0025:" in capsys.readouterr().out
+
     def test_byte_identical_reruns(self, tmp_path):
         blobs = []
         for name in ("r1.json", "r2.json"):
@@ -510,7 +525,7 @@ class TestPerturb:
         out = tmp_path / "r.json"
         rc = run("perturb", "--epsilons", "1e-14", "--out", str(out))
         assert rc == 5
-        assert "error: epsilon 1e-14, trial 528: " in capsys.readouterr().err
+        assert "error: epsilon 1e-14, trial 415: " in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -422,6 +422,12 @@ class TestSaveEmbedding:
         assert sidecar["dropped_eigenvalue"] == emb.dropped_eigenvalue
         assert sidecar["note"] == "test"
 
+    def test_json_path_is_refused_as_its_own_sidecar(self, tmp_path, ring16, ring16_graph):
+        W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
+        with pytest.raises(ValueError, match="its own sidecar path"):
+            save_embedding(embed(W, 1), tmp_path / "y.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_sidecar_bytes_are_canonical(self, tmp_path, ring16, ring16_graph):
         W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
         emb = embed(W, 1)
