@@ -1,6 +1,7 @@
 """Exact K-nearest-neighbor graphs."""
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .datasets import validate_cloud, write_rows
@@ -20,13 +21,29 @@ def check_extent(X: np.ndarray) -> None:
 
 
 def knn(cloud, K: int) -> np.ndarray:
-    """Exact brute-force K-nearest-neighbor graph as an (N, K) index array.
+    """Exact K-nearest-neighbor graph as an (N, K) index array.
 
     Row i holds the K nearest neighbors of point i (self excluded) by
     increasing Euclidean distance.  Requires 1 <= K < N.  Distances are
     squared Euclidean (same ordering as Euclidean, cheaper); ties are
-    resolved toward the smaller index by the stable argsort, so the result is
-    permutation-checkable and deterministic.
+    resolved toward the smaller index, so the result is permutation-checkable
+    and deterministic.
+
+    A KD-tree proposes K + 2 candidates per point.  Each candidate's squared
+    distance is re-scored one coordinate at a time, which rounds exactly like
+    ``cdist(..., "sqeuclidean")``, and the candidates are sorted by (distance,
+    index).  A row is settled when its K-th distance lies below its farthest
+    candidate's by a relative margin of 4(D + 1 + b) machine epsilons, b the
+    bit length of N.  A point the tree did not return was either scored at a
+    leaf, at least as far as that candidate by the tree's own D-term sums, or
+    pruned with its node, whose lower bound cKDTree updates one split at a
+    time along the path from the root and compares with its current farthest
+    distance.  The sums round within gamma_(D+1) relative (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 3.1), as does the
+    re-score; each update of the bound rounds within a few ulps of it, and
+    the median-split tree cKDTree builds by default is fewer than b levels
+    deep.  Unsettled rows, such as ties across the candidate boundary, take
+    the full row of distances and a stable argsort.
     """
     X = validate_cloud(cloud)
     n = X.shape[0]
@@ -41,7 +58,23 @@ def knn(cloud, K: int) -> np.ndarray:
     e = max(np.frexp(np.ptp(X, axis=0).max())[1], np.frexp(np.abs(X).max())[1] - 1021)
     X = np.ldexp(X, -e)
     indices = np.empty((n, K), dtype=np.intp)
-    for i in range(n):
+    rows = np.arange(n)
+    if K + 2 < n:
+        cand = cKDTree(X).query(X, k=K + 2)[1]
+        d2 = np.zeros(cand.shape)
+        for j in range(X.shape[1]):
+            d2 += (X[cand, j] - X[:, j, None]) ** 2
+        d2[cand == rows[:, None]] = np.inf  # exclude self
+        order = np.lexsort((cand, d2))
+        cand = np.take_along_axis(cand, order, axis=1)
+        d2 = np.take_along_axis(d2, order, axis=1)
+        margin = 4 * (X.shape[1] + 1 + n.bit_length()) * np.finfo(float).eps
+        # Column -2 is the farthest candidate other than self, which sorts
+        # last; without self among them it is a nearer one, a stricter test.
+        settled = d2[:, K - 1] < (1 - margin) * d2[:, -2]
+        indices[settled] = cand[settled, :K]
+        rows = rows[~settled]
+    for i in rows:
         d2 = cdist(X[i : i + 1], X, metric="sqeuclidean")[0]
         d2[i] = np.inf  # exclude self
         indices[i] = np.argsort(d2, kind="stable")[:K]

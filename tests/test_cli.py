@@ -424,11 +424,13 @@ class TestEmbed:
             out.parent.mkdir()
             subprocess.run([sys.executable, "-m", "ldrlle.cli", "embed", "--generator",
                             "swissroll", "--n", "1000", "--method", method, "--out", str(out),
-                            "--dump-weights", str(out.with_name("w.csv"))],
+                            "--dump-weights", str(out.with_name("w.csv")),
+                            "--dump-neighbors", str(out.with_name("nbrs.csv"))],
                            env=env, check=True, capture_output=True)
             sidecar = json.loads(out.with_suffix(".json").read_text())
             sidecar["output"] = None
-            runs.append((out.read_bytes(), out.with_name("w.csv").read_bytes(), sidecar))
+            runs.append((out.read_bytes(), out.with_name("w.csv").read_bytes(),
+                         out.with_name("nbrs.csv").read_bytes(), sidecar))
         assert runs[0] == runs[1]
 
 

@@ -1,9 +1,14 @@
 """Exact nearest-neighbor graphs and centered neighborhood matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
+
+import ldrlle.neighbors
 
 from ldrlle import assemble_weight_matrix, gen_swissroll, knn, save_neighbor_graph
 from oracles import brute_force_knn, random_orthogonal
@@ -129,6 +134,110 @@ def test_lattices_with_duplicates_match_the_oracle(side, dim, data):
     X = X[data.draw(st.permutations(range(len(X))))]
     K = data.draw(st.integers(1, min(12, len(X) - 1)))
     np.testing.assert_array_equal(knn(X, K), brute_force_knn(X, K))
+
+
+def row_sweep_knn(X, K):
+    """One point at a time: cdist of its row, self to inf, stable argsort."""
+    out = np.empty((len(X), K), dtype=np.intp)
+    for i in range(len(X)):
+        d2 = cdist(X[i : i + 1], X, metric="sqeuclidean")[0]
+        d2[i] = np.inf
+        out[i] = np.argsort(d2, kind="stable")[:K]
+    return out
+
+
+def near_tied_shell(rng, D):
+    """A centre and 40 points around it whose radii differ by at most 3 ulps."""
+    centre = rng.normal(size=D)
+    u = rng.normal(size=(40, D))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    r = rng.uniform(1.0, 1.5)
+    radii = r + rng.integers(0, 4, size=40) * np.spacing(r)
+    return np.vstack([centre, centre + radii[:, None] * u])
+
+
+@given(D=st.sampled_from([2, 3, 9, 16]), K=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_near_tied_shells_match_the_row_sweep(D, K, seed):
+    # The shell points tie with the centre up to rounding, so the order is the
+    # rounding of the squared distances itself. brute_force_knn's diff @ diff
+    # rounds unlike cdist, so the reference is the row sweep knn must
+    # reproduce bit for bit.
+    rng = np.random.default_rng(seed)
+    shell = near_tied_shell(rng, D)
+    far = shell[0] + 100.0 + rng.normal(size=(100, D))
+    X = np.vstack([shell, far])
+    X = X[rng.permutation(len(X))]
+    np.testing.assert_array_equal(knn(X, K), row_sweep_knn(X, K))
+
+
+@given(D=st.sampled_from([2, 3]), K=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_near_tied_shells_under_a_deep_tree_match_the_row_sweep(D, K, seed):
+    # The shell inside 2000 background points: the tree is several levels
+    # deep around it, so tied shell points are pruned with their nodes on
+    # bounds built up split by split, not only scored at a leaf.
+    rng = np.random.default_rng(seed)
+    shell = near_tied_shell(rng, D)
+    box = rng.uniform(-8.0, 8.0, size=(2000, D))
+    background = shell[0] + box[np.linalg.norm(box, axis=1) > 3.0]
+    X = np.vstack([shell, background])
+    X = X[rng.permutation(len(X))]
+    np.testing.assert_array_equal(knn(X, K), row_sweep_knn(X, K))
+
+
+class TestTreeSearchIsExact:
+    def test_fifty_dimensional_gaussian(self, rng):
+        X = rng.normal(size=(400, 50))
+        np.testing.assert_array_equal(knn(X, 7), brute_force_knn(X, 7))
+
+    def test_identical_points_beside_others(self, rng):
+        X = np.concatenate([np.ones((300, 3)), rng.normal(size=(20, 3))])
+        X = X[rng.permutation(len(X))]
+        np.testing.assert_array_equal(knn(X, 12), brute_force_knn(X, 12))
+
+    def test_duplicate_cluster_wider_than_the_query(self, rng):
+        # 30 copies of one point tie at zero beyond the K + 2 = 6 candidates.
+        X = np.concatenate([np.full((30, 2), 0.5), rng.integers(0, 6, size=(60, 2))]).astype(float)
+        np.testing.assert_array_equal(knn(X, 4), brute_force_knn(X, 4))
+
+    def test_lattice_rows_tied_past_the_query_take_the_row_sweep(self, monkeypatch):
+        # On the 3^4 lattice at K = 1 every row has at least 4 neighbors at
+        # distance 1, more than the tree's 3 candidates hold.
+        lattice = np.stack(np.meshgrid(*[np.arange(3)] * 4, indexing="ij"), axis=-1)
+        X = lattice.reshape(-1, 4).astype(float)
+        swept = []
+
+        def counting_cdist(XA, XB, metric):
+            swept.append(len(XA))
+            return cdist(XA, XB, metric=metric)
+
+        monkeypatch.setattr(ldrlle.neighbors, "cdist", counting_cdist)
+        np.testing.assert_array_equal(knn(X, 1), brute_force_knn(X, 1))
+        assert swept
+
+    def test_swiss_roll_never_takes_the_row_sweep(self, monkeypatch):
+        X = gen_swissroll(2000, seed=11).points
+        expected = knn(X, 12)
+
+        def refusing_cdist(*args, **kwargs):
+            raise AssertionError("row sweep ran on a tie-free cloud")
+
+        monkeypatch.setattr(ldrlle.neighbors, "cdist", refusing_cdist)
+        np.testing.assert_array_equal(knn(X, 12), expected)
+
+    def test_identical_points_stay_within_a_fixed_memory_budget(self):
+        # One fixed query bounds the candidate arrays at K + 2 per row; a
+        # search widening until ties resolve would hold about n candidates each.
+        X = np.ones((4000, 3))
+        tracemalloc.start()
+        try:
+            graph = knn(X, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        np.testing.assert_array_equal(graph[0], np.arange(1, 13))
 
 
 class TestNeighborhoodMatrix:
