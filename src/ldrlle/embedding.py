@@ -3,11 +3,11 @@
 The embedding minimizes the output-side reconstruction error
 sum_i ||y_i - sum_j W_ij y_j||^2 over centered, orthonormal coordinates; the
 minimizer is read off the bottom eigenvectors of M = (I - W)'(I - W), with the
-constant zero mode dropped.  embed never forms M, whose condition number is the
-square of that of A = I - W, nor applies it: one ARPACK run on M's
-pseudo-inverse, applied through one sparse LU of A with a single pinned
-diagonal entry, gives the bottom eigenspace, and the output comes from a
-Rayleigh-Ritz step through W.
+constant zero mode dropped.  Nothing here forms M, whose condition number is
+the square of that of A = I - W, or applies it: embed forms A once, reads W's
+closed classes off A's nonzero pattern, and runs ARPACK on M's pseudo-inverse,
+applied through one sparse LU of A with a single pinned diagonal entry.  The
+output comes from a Rayleigh-Ritz step through W.
 """
 
 from dataclasses import dataclass
@@ -49,20 +49,6 @@ class Embedding:
     Y: np.ndarray             # (N, d)
     eigenvalues: np.ndarray   # (d,) ascending, non-negative
     dropped_eigenvalue: float
-
-
-def _identity_minus(W) -> sparse.csr_matrix:
-    """A = I - W in CSR form, for a square sparse W."""
-    n = W.shape[0]
-    if W.shape[1] != n:
-        raise ValueError(f"W must be square, got shape {W.shape}")
-    return sparse.eye(n, format="csr") - W
-
-
-def build_m(W) -> sparse.csr_matrix:
-    """M = (I - W)'(I - W) in CSR form."""
-    A = _identity_minus(sparse.csr_matrix(W))
-    return (A.T @ A).tocsr()
 
 
 def _bottom_subspace(A, r: int, k: int) -> np.ndarray:
@@ -130,19 +116,23 @@ def embed(W, d: int) -> Embedding:
         simple; a W that splits into pieces has at least one per piece.
     EigenSolverError
         when the factorization or the eigensolver failed, or the constant
-        mode's eigenvalue is not near zero.
+        mode's eigenvalue is not near zero (or not finite, as when W holds a
+        NaN or inf weight).
     """
     W = sparse.csr_matrix(W)
-    A = _identity_minus(W)
-    n = A.shape[0]
+    n = W.shape[0]
+    if W.shape[1] != n:
+        raise ValueError(f"W must be square, got shape {W.shape}")
+    A = sparse.eye(n, format="csr") - W
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if d > n - 2:
         raise ValueError(f"d must be <= N - 2 = {n - 2}, got {d}")
 
-    src, dst = W.nonzero()
-    edges = sparse.coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
-    n_comp, labels = csgraph.connected_components(edges, directed=True, connection="strong")
+    # A has W's nonzero pattern plus the diagonal (sparse subtraction stores
+    # no zeros), and a diagonal entry joins a class only to itself.
+    n_comp, labels = csgraph.connected_components(A, directed=True, connection="strong")
+    src, dst = A.nonzero()
     leaving = np.unique(labels[src[labels[src] != labels[dst]]])
     closed = n_comp - leaving.size
     if closed > 1:
@@ -157,7 +147,7 @@ def embed(W, d: int) -> Embedding:
     dropped = float(u @ u)
     # ||A||_F^2 / N <= ||A||_2^2 = lambda_max(M), read off A's stored entries.
     scale = float(np.square(A.data).sum()) / n
-    if dropped >= ZERO_EIG_REL * scale:
+    if not dropped < ZERO_EIG_REL * scale:
         raise EigenSolverError(
             f"constant-mode eigenvalue {dropped:.3e} is not near zero "
             f"(||I - W||_F^2 / N = {scale:.3e}); weight rows may not sum to one"

@@ -11,12 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
-from ldrlle import embedding
 from ldrlle import (
     DisconnectedGraphError,
     EigenSolverError,
     assemble_weight_matrix,
-    build_m,
     embed,
     gen_scurve,
     gen_swissroll,
@@ -45,6 +43,17 @@ def chain3_weights():
     return sparse.csr_matrix(
         np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
     )
+
+
+def two_closed_classes_weights():
+    """Two 2-cycles that no weight leaves, joined only by points that put
+    weight into both: weakly connected, yet I - W has two null vectors."""
+    W = np.zeros((7, 7))
+    W[0, 1] = W[1, 0] = W[2, 3] = W[3, 2] = 1.0
+    W[4, [0, 2]] = 0.5
+    W[5, [1, 3]] = [0.3, 0.7]
+    W[6, [4, 5]] = 0.5
+    return W
 
 
 def random_row_stochastic(n, k, rng):
@@ -82,53 +91,6 @@ def assert_embedding_contract(emb, W):
     total = float(emb.eigenvalues.sum())
     value = phi(Y, W)
     assert abs(value - total) <= 1e-8 * max(value, total, 1e-300)
-
-
-class TestBuildM:
-    def test_annihilates_constants(self, rng):
-        W = random_row_stochastic(20, 4, rng)
-        M = build_m(W)
-        assert np.max(np.abs(M @ np.ones(20))) < 1e-10
-
-    def test_symmetric(self, rng):
-        W = random_row_stochastic(20, 3, rng)
-        M = build_m(W).toarray()
-        assert np.max(np.abs(M - M.T)) < 1e-12
-
-    @given(n=st.integers(2, 40), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_exactly_symmetric_with_unsorted_column_indices(self, n, k, seed):
-        # (A'A)_ij and (A'A)_ji are the same sum over k in the same order, so M
-        # is symmetric bit for bit without a symmetrization step, whatever the
-        # order of W's column indices within a row.
-        rng = np.random.default_rng(seed)
-        W = random_row_stochastic(n, min(k, n - 1), rng)
-        shuffle = np.argsort(np.repeat(np.arange(n), np.diff(W.indptr)) + rng.random(W.nnz))
-        W = sparse.csr_matrix((W.data[shuffle], W.indices[shuffle], W.indptr), shape=W.shape)
-        M = build_m(W)
-        assert (M != M.T).nnz == 0
-
-    def test_matches_dense_construction(self, rng):
-        W = random_row_stochastic(15, 3, rng)
-        A = np.eye(15) - W.toarray()
-        np.testing.assert_allclose(build_m(W).toarray(), A.T @ A, atol=1e-14)
-
-    def test_cycle_spectrum_matches_closed_form(self):
-        # The cycle's M is circulant: eigenvalues (1 - cos(2 pi k / n))^2.
-        n = 8
-        M = build_m(cycle_weights(n)).toarray()
-        got = np.linalg.eigvalsh(M)
-        want = np.sort([(1.0 - np.cos(2.0 * np.pi * k / n)) ** 2 for k in range(n)])
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_positive_semidefinite(self, rng):
-        W = random_row_stochastic(12, 2, rng)
-        evals = np.linalg.eigvalsh(build_m(W).toarray())
-        assert evals.min() > -1e-12
-
-    def test_non_square_weights_are_refused(self):
-        with pytest.raises(ValueError, match="square"):
-            build_m(sparse.csr_matrix((4, 5)))
 
 
 class TestPhi:
@@ -251,13 +213,42 @@ class TestEmbed:
         np.testing.assert_allclose(emb.eigenvalues, want, atol=1e-12)
         assert_embedding_contract(emb, W)
 
-    def test_m_is_never_formed(self, ring16, ring16_graph, monkeypatch):
-        def refusing_build_m(W):
-            raise AssertionError("embed formed M")
+    def test_only_i_minus_w_is_factored(self, ring16, ring16_graph, monkeypatch):
+        # The one sparse LU is of I - W with a pinned diagonal entry: W's
+        # pattern plus the diagonal, far sparser than M = (I - W)'(I - W).
+        factored = []
+        splu = scipy.sparse.linalg.splu
+
+        def recording_splu(A, *args, **kwargs):
+            factored.append(A)
+            return splu(A, *args, **kwargs)
 
         W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
-        monkeypatch.setattr(embedding, "build_m", refusing_build_m)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
         assert_embedding_contract(embed(W, 2), W)
+        assert len(factored) == 1
+        A = sparse.eye(16) - W
+        assert factored[0].nnz == W.nnz + 16
+        assert factored[0].nnz < (A.T @ A).nnz
+
+    def test_caller_weights_with_unsorted_indices_are_untouched(self, ring16, ring16_graph):
+        # embed must not sort a caller's column indices in place.
+        W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
+        order = np.lexsort((-W.indices, np.repeat(np.arange(16), np.diff(W.indptr))))
+        W = sparse.csr_matrix((W.data[order], W.indices[order], W.indptr), shape=W.shape)
+        assert not W.has_sorted_indices
+        before = W.data.copy(), W.indices.copy(), W.indptr.copy()
+        assert_embedding_contract(embed(W, 2), W)
+        for got, want in zip((W.data, W.indices, W.indptr), before):
+            np.testing.assert_array_equal(got, want)
+        assert not W.has_sorted_indices
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_weight_is_refused(self, value, ring16, ring16_graph):
+        W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
+        W.data[5] = value
+        with pytest.raises(EigenSolverError, match="constant-mode eigenvalue"):
+            embed(W, 1)
 
     @pytest.mark.parametrize("method", ["ldr", "classical"])
     def test_one_eigensolve_per_embed(self, method, ring16, ring16_graph, monkeypatch):
@@ -370,15 +361,20 @@ class TestEmbed:
         assert excinfo.value.n_components == 2
 
     def test_two_closed_classes_reported(self):
-        # Two 2-cycles that no weight leaves, joined only by points that put
-        # weight into both: weakly connected, yet I - W has two null vectors.
-        W = np.zeros((7, 7))
-        W[0, 1] = W[1, 0] = W[2, 3] = W[3, 2] = 1.0
-        W[4, [0, 2]] = 0.5
-        W[5, [1, 3]] = [0.3, 0.7]
-        W[6, [4, 5]] = 0.5
         with pytest.raises(DisconnectedGraphError) as excinfo:
-            embed(sparse.csr_matrix(W), 2)
+            embed(sparse.csr_matrix(two_closed_classes_weights()), 2)
+        assert excinfo.value.n_components == 2
+
+    def test_stored_zero_weight_is_not_an_edge(self):
+        # An explicit 0.0 from class {0, 1} into class {2, 3} puts no weight
+        # there, so both classes stay closed.
+        W = two_closed_classes_weights()
+        W[0, 2] = -1.0
+        W = sparse.csr_matrix(W)
+        W.data[W.data == -1.0] = 0.0
+        assert W.nnz == 11
+        with pytest.raises(DisconnectedGraphError) as excinfo:
+            embed(W, 2)
         assert excinfo.value.n_components == 2
 
     def test_dimension_validation(self, ring16, ring16_graph):
