@@ -10,6 +10,7 @@ pair reproduces bit-identically across runs.
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -119,8 +120,16 @@ def write_rows(rows, path) -> None:
     """One comma-joined line per row: the writer of every CSV file in the package.
 
     Rows hold Python scalars (from .tolist()), whose str is the shortest
-    round-trip repr; a numpy 2 scalar's str is "np.float64(...)" instead."""
-    Path(path).write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+    round-trip repr; a numpy 2 scalar's str is "np.float64(...)" instead.
+    Every row has the first row's width, so one "%s,...,%s" format, which
+    applies str to each cell, writes them all."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        Path(path).write_text("")
+        return
+    line = ",".join(["%s"] * len(first)) + "\n"
+    Path(path).write_text("".join(line % tuple(row) for row in chain([first], rows)))
 
 
 def write_json(payload, path) -> None:

@@ -290,6 +290,8 @@ def monotonicity_1d(Y, preimage) -> float:
     """Spearman rank correlation of a one-column embedding against ground truth.
 
     Signed: -1 is as good as +1 (the embedding's orientation is arbitrary).
+    It is the Pearson correlation of the average ranks, computed as
+    scipy.stats.spearmanr does, and NaN when either input holds a NaN.
     Raises UndefinedCorrelationError when either input is constant.
     """
     y = np.asarray(Y, dtype=float).ravel()
@@ -298,11 +300,21 @@ def monotonicity_1d(Y, preimage) -> float:
         raise ValueError(f"lengths {y.size} and {z.size} differ")
     if np.ptp(y) == 0.0 or np.ptp(z) == 0.0:
         raise UndefinedCorrelationError("rank correlation undefined for constant input")
-    # Imported here, its one use: loading scipy.stats doubles `import ldrlle`'s time.
-    from scipy.stats import spearmanr
+    if np.isnan(y).any() or np.isnan(z).any():
+        return float("nan")
+    return float(np.corrcoef(_average_ranks(y), _average_ranks(z))[1, 0])
 
-    rho = spearmanr(y, z).statistic
-    return float(rho)
+
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties sharing their average, as scipy.stats.rankdata
+    gives them; loading scipy.stats for it took about 0.65 s."""
+    order = np.argsort(v, kind="stable")
+    first = np.r_[True, v[order][1:] != v[order][:-1]]
+    starts = np.flatnonzero(first)
+    ends = np.r_[starts[1:], v.size]
+    ranks = np.empty(v.size)
+    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(first) - 1]
+    return ranks
 
 
 def linear_projection_diagnostic(X, Y, reference=None, weights=None,

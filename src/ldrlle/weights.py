@@ -10,13 +10,16 @@ regularization, and the weights depend only on the projector onto the
 discarded singular directions, which is well defined whenever the top-d
 spectral gap is.
 
-Both are spectral filters on one SVD per neighborhood.  With rows = U S V',
-left-singular vectors u_j, singular values lambda_j and c_j = u_j'1, every
-solver returns w = sum_j f_j c_j u_j normalized to sum to one; only the
-filter f differs.  The rank-d filter is f_j = [j > d]; the classical one is
-f_j = 1 / (lambda_j^2 + mu), the ridge solve (G + mu I)^-1 1 without ever
-forming the Gram matrix G = rows rows', whose condition number is the square
-of the rows'.
+Both are spectral filters on one thin SVD per neighborhood.  With rows = U S V',
+left-singular vectors u_j, singular values lambda_j (zero past m = min(K, D))
+and c_j = u_j'1, every solver returns w = sum_j f_j c_j u_j normalized to sum
+to one; only the filter f differs.  The rank-d filter is f_j = [j > d]; the
+classical one is f_j = 1 / (lambda_j^2 + mu), the ridge solve (G + mu I)^-1 1
+without ever forming the Gram matrix G = rows rows', whose condition number
+is the square of the rows'.  Every filter is constant past m, at its value
+f_tail at lambda = 0, and the discarded columns span the complement of the
+first m, so w = f_tail 1 + sum_{j<m} (f_j - f_tail) c_j u_j needs only the m
+columns of the thin basis; the (K, K) basis is never computed.
 
 A neighborhood is a plain (K, D) array of centered rows eta_j - x_i.  Every
 solve is written once, as a kernel over a stack of such neighborhoods of
@@ -114,16 +117,27 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U * np.where(picked < 0.0, -1.0, 1.0)
 
 
+def _unit_scaled(rows: np.ndarray):
+    """Each neighborhood times 2^-e, e per neighborhood, so that its largest
+    entry lies in [1/2, 1) (an all-zero one keeps e = 0), and e."""
+    e = np.frexp(np.abs(rows).max(axis=(1, 2)))[1]
+    return np.ldexp(rows, -e[:, None, None]), e
+
+
 def _svd(rows: np.ndarray):
-    """Stacked full SVD: left-singular bases (N, K, K) with LAPACK's column
-    signs, and the singular values, descending and zero-padded to (N, K).
+    """Stacked thin SVD: left-singular bases (N, K, m), m = min(K, D), with
+    LAPACK's column signs, and the singular values, descending and
+    zero-padded to (N, K).
 
     Every weight and alpha is invariant under a column's sign, and negation
-    is exact, so only a caller that returns a basis fixes its signs."""
-    U, s, _ = np.linalg.svd(rows, full_matrices=True)
-    lam = np.zeros(rows.shape[:2])
-    lam[:, : s.shape[1]] = s
-    return U, lam
+    is exact, so only a caller that returns a basis fixes its signs.  Each
+    neighborhood is first scaled by a power of two to a largest entry in
+    [1/2, 1), where LAPACK applies no scaling of its own, so the basis is the
+    same bits for the cloud scaled by any 2^k and the singular values scale
+    exactly."""
+    scaled, e = _unit_scaled(rows)
+    U, s, _ = np.linalg.svd(scaled, full_matrices=False)
+    return U, np.pad(np.ldexp(s, e[:, None]), ((0, 0), (0, rows.shape[1] - s.shape[1])))
 
 
 def _split(U: np.ndarray, lam: np.ndarray, rows: np.ndarray, d: int) -> Spectra:
@@ -133,9 +147,9 @@ def _split(U: np.ndarray, lam: np.ndarray, rows: np.ndarray, d: int) -> Spectra:
         raise ValueError(f"need 1 <= d < K = {K}, got d = {d}")
     alpha = _sqnorm(np.ones(K) @ U[:, :, :d]) / K
     # Exact power-of-two scaling per neighborhood keeps tiny offsets' squares from underflowing.
-    e = np.frexp(np.abs(rows).max(axis=(1, 2)))[1]
-    scaled = np.ldexp(rows, -e[:, None, None])
-    radius = np.ldexp(np.sqrt((scaled * scaled).sum(axis=2).max(axis=1)), e)
+    scaled, e = _unit_scaled(rows)
+    np.square(scaled, out=scaled)
+    radius = np.ldexp(np.sqrt(scaled.sum(axis=2).max(axis=1)), e)
     top = lam[:, 0]
     gap = (top <= 0.0) | (
         (lam[:, d - 1] - lam[:, d]) / np.where(top > 0.0, top, 1.0) < GAP_WARN_REL
@@ -144,14 +158,26 @@ def _split(U: np.ndarray, lam: np.ndarray, rows: np.ndarray, d: int) -> Spectra:
 
 
 def _filtered(U: np.ndarray, f: np.ndarray):
-    """Stacked w = U diag(f) U'1 and its sum 1'w = sum_j f_j (u_j'1)^2."""
-    c = np.ones(U.shape[1]) @ U
-    fc = f * c
-    return (U @ fc[:, :, None])[:, :, 0], (fc[:, None, :] @ c[:, :, None])[:, 0, 0]
+    """Stacked w = U diag(f) U'1 and its sum 1'w on the thin basis U (N, K, m).
+
+    f holds the filter at all K zero-padded singular values, so when m < K
+    its last entry is f_tail, the filter at lambda = 0, and with c = U'1,
+    w = f_tail 1 + U ((f_m - f_tail) c), 1'w = sum_j (f_j - f_tail) c_j^2 + K f_tail.
+    When m = K there is no tail: f_tail = 0 and this is U diag(f) U'1 itself."""
+    N, K, m = U.shape
+    f = np.broadcast_to(np.asarray(f, dtype=float), (N, K))
+    tail = f[:, -1] if m < K else np.zeros(N)
+    c = np.ones(K) @ U
+    g = (f[:, :m] - tail[:, None]) * c
+    w = (U @ g[:, :, None])[:, :, 0] + tail[:, None]
+    return w, (g[:, None, :] @ c[:, :, None])[:, 0, 0] + K * tail
 
 
 def _ldr(U: np.ndarray, d: int) -> np.ndarray:
-    """Stacked w = U2 U2' 1 / (1' U2 U2' 1), U2 = U[:, :, d:]: the filter [j >= d]."""
+    """Stacked w = U2 U2' 1 / (1' U2 U2' 1), the filter [j >= d].
+
+    U2 spans the discarded directions, so U2 U2' 1 = 1 - U1 (U1' 1): on the
+    thin basis, w = (1 - U1 c1) / (K - ||c1||^2) when m < K."""
     K = U.shape[1]
     if not 1 <= d < K:
         raise ValueError(f"need 1 <= d < K = {K}, got d = {d}")
@@ -212,6 +238,7 @@ def _classical(U: np.ndarray, lam: np.ndarray, delta: float,
 def neighborhood_spectrum(rows, d: int) -> NeighborhoodSpectrum:
     """Full SVD split of one (K, D) neighborhood at rank d (requires 1 <= d < K).
 
+    It takes its own full SVD, since U2 has K - d columns even when D < K.
     Column signs follow the largest-magnitude-entry-positive convention, so
     repeated runs on the same machine agree bit for bit.
     """
@@ -219,7 +246,8 @@ def neighborhood_spectrum(rows, d: int) -> NeighborhoodSpectrum:
     if rows.ndim != 2:
         raise ValueError(f"need one (K, D) neighborhood, got {rows.shape}")
     rows = rows[None]
-    U, lam = _svd(rows)
+    U, s, _ = np.linalg.svd(rows, full_matrices=True)
+    lam = np.pad(s, ((0, 0), (0, rows.shape[1] - s.shape[1])))
     spec = _split(U, lam, rows, d)
     U = _fix_signs(U)
     return NeighborhoodSpectrum(spec.singular_values[0], U[0, :, :d], U[0, :, d:],
@@ -306,7 +334,8 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
         raise ValueError(f"neighbor graph row {int(np.argmax(outside))} has an index "
                          f"outside [0, {n})")
     check_extent(X)
-    rows = X[graph] - X[:, None, :]
+    rows = X[graph]
+    rows -= X[:, None, :]
     U, lam = _svd(rows)
     spectra = _split(U, lam, rows, d) if 1 <= d < K else None
     try:

@@ -705,7 +705,7 @@ class TestTopLevel:
         assert excinfo.value.code == 2
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        # Only monotonicity_1d needs it, and loading it doubles the import time.
+        # Nothing in the package needs it, and loading it doubles the import time.
         env = dict(os.environ, PYTHONPATH=str(Path(ldrlle.__file__).parents[1]))
         code = "import sys, ldrlle.cli; assert 'scipy.stats' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=env, check=True)

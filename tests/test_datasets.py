@@ -24,6 +24,7 @@ from ldrlle import (
     swissroll_map,
     validate_cloud,
 )
+from ldrlle.datasets import write_rows
 
 
 class TestValidateCloud:
@@ -225,6 +226,37 @@ class TestCsvRoundTrip:
             path = Path(tmp) / "arr.csv"
             save_csv(arr, path)
             np.testing.assert_array_equal(load_csv(path), arr)
+
+
+class TestWriteRows:
+    # The writer formats each line with one "%s,...,%s" string; it must give
+    # the bytes of the plain str-and-join expression it replaced.
+    @staticmethod
+    def joined(rows):
+        return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[0, -0.0, 5e-324, 1e16, 1e-5], [7, 0.1, -2.5e-300, 1.7976931348623157e308, 3]],
+        [("epsilon", "trial", "classical", "ldr"), (1e-2, 0, 0.25, 1e-17)],
+        [[1], [-0.0], [5e-324]],
+        [[]],
+        [],
+    ])
+    def test_bytes_match_the_joined_strings(self, tmp_path, rows):
+        path = tmp_path / "rows.csv"
+        write_rows(rows, path)
+        assert path.read_bytes() == self.joined(rows).encode()
+
+    def test_takes_a_one_pass_iterator(self, tmp_path):
+        rows = [(0, 1, 0.5), (1, 0, -0.0), (2, 2, 1e-5)]
+        path = tmp_path / "zip.csv"
+        write_rows(zip(*map(list, zip(*rows))), path)
+        assert path.read_text() == self.joined(rows)
+
+    def test_empty_row_set_writes_an_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_rows(iter(()), path)
+        assert path.read_bytes() == b""
 
 
 class TestSampleFiles:

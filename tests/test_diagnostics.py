@@ -377,6 +377,22 @@ class TestMonotonicity:
         with pytest.raises(ValueError):
             monotonicity_1d(np.arange(8.0), np.arange(9.0))
 
+    def test_matches_scipy_spearman_bit_for_bit(self):
+        from scipy.stats import spearmanr
+
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(2, 40))
+            # Few distinct values, so ties (and -0.0 against 0.0) are common.
+            y = rng.integers(-3, 4, size=n) * rng.choice([1.0, -0.0, 0.5], size=n)
+            z = rng.normal(size=n) if rng.random() < 0.5 else rng.integers(0, 5, size=n) * 1.0
+            if np.ptp(y) == 0.0 or np.ptp(z) == 0.0:
+                continue
+            assert monotonicity_1d(y, z) == spearmanr(y, z).statistic
+
+    def test_nan_input_gives_nan(self):
+        assert np.isnan(monotonicity_1d(np.array([0.0, np.nan, 2.0]), np.arange(3.0)))
+
 
 class TestDiagnosticBundle:
     def test_all_fields_populated(self, ring16, ring16_graph):

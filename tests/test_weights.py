@@ -1,5 +1,7 @@
 """Weight solvers: classical regularized and rank-d representation weights."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,6 +15,7 @@ from ldrlle import (
     GeneralPositionError,
     SingularNeighborhoodError,
     assemble_weight_matrix,
+    gen_scurve,
     gen_swissroll,
     grid_cross_neighborhood,
     knn,
@@ -474,6 +477,102 @@ class TestAssembly:
         X = rng.normal(size=(20, 3))
         with pytest.raises(ValueError, match="integer indices, got dtype float64"):
             assemble_weight_matrix(X, knn(X, 4).astype(float), "classical", d=2)
+
+
+def full_basis_weights(rows, filter_of):
+    """Stacked w = U diag(f) U'1, normalized, on the full (N, K, K) basis: the
+    filtered weights with no tail, f taken at the K zero-padded singular values."""
+    U, s, _ = np.linalg.svd(rows, full_matrices=True)
+    lam = np.zeros(rows.shape[:2])
+    lam[:, : s.shape[1]] = s
+    c = np.ones(rows.shape[1]) @ U
+    w = (U @ (filter_of(lam) * c)[:, :, None])[:, :, 0]
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def rank_d_filter(d):
+    return lambda lam: (np.arange(lam.shape[1]) >= d).astype(float)
+
+
+def ridge_filter(delta):
+    def f(lam):
+        ridge = lam * lam + delta / lam.shape[1] * (lam * lam).sum(axis=1, keepdims=True)
+        return np.divide(1.0, ridge, out=np.ones_like(lam), where=ridge > 0.0)
+    return f
+
+
+def pinv_filter(lam):
+    kept = lam > lam.shape[1] * np.finfo(float).eps * lam[:, :1]
+    return np.divide(1.0, lam * lam, out=np.zeros_like(lam), where=kept)
+
+
+class TestThinKernels:
+    # The kernels read only the m = min(K, D) columns of the thin SVD plus
+    # the filter's constant tail; the oracle sums over all K columns.
+    SOLVERS = {
+        "ldr": (lambda rows: ldr_weights(rows, 2), rank_d_filter(2)),
+        "ridge": (lambda rows: lle_weights(rows, DEFAULT_DELTA), ridge_filter(DEFAULT_DELTA)),
+        "pinv": (lle_weights_pinv, pinv_filter),
+    }
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("case", ["swissroll", "scurve", "D > K", "K = D"])
+    def test_matches_the_full_basis(self, case, solver):
+        rng = np.random.default_rng(7)
+        if case in ("swissroll", "scurve"):
+            X = {"swissroll": gen_swissroll, "scurve": gen_scurve}[case](600, seed=3).points
+            rows = X[knn(X, 12)] - X[:, None]
+        else:
+            rows = rng.normal(size=(40, 12, 20) if case == "D > K" else (40, 6, 6))
+        solve, filter_of = self.SOLVERS[solver]
+        assert np.max(np.abs(solve(rows) - full_basis_weights(rows, filter_of))) < 1e-13
+
+    def test_all_zero_neighborhood_is_uniform(self, rng):
+        # mu = 0 there, so the whole filter, tail included, is 1.
+        rows = np.concatenate([np.zeros((1, 7, 3)), rng.normal(size=(3, 7, 3))])
+        w = lle_weights(rows, DEFAULT_DELTA)
+        np.testing.assert_array_equal(w[0], np.full(7, 1.0 / 7.0))
+        assert np.max(np.abs(w - full_basis_weights(rows, ridge_filter(DEFAULT_DELTA)))) < 1e-13
+
+    def test_rank_cut_pseudo_inverse_row(self, rng):
+        # Rank-2 rows in 3-D: the third singular value falls under the cut,
+        # so the pseudo-inverse filter is 0 there and in the tail.
+        rows = rng.normal(size=(10, 6, 2)) @ rng.normal(size=(10, 2, 3))
+        s = np.linalg.svd(rows, compute_uv=False)
+        assert np.all(s[:, 2] <= 6 * np.finfo(float).eps * s[:, 0])
+        w = lle_weights_pinv(rows)
+        assert np.max(np.abs(w - full_basis_weights(rows, pinv_filter))) < 1e-13
+
+
+class TestAssemblyCost:
+    def test_traced_peak_stays_under_the_full_basis(self):
+        # The full (N, K, K) basis alone is 8000 * 12 * 12 * 8 bytes = 8.8 MiB;
+        # with it, assembly peaked at 16.9 MiB.
+        X = gen_swissroll(8000, seed=11).points
+        graph = knn(X, 12)
+        for method in ("ldr", "classical"):
+            tracemalloc.start()
+            try:
+                assemble_weight_matrix(X, graph, method, d=2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 12 * 2**20, method
+
+    def test_one_thin_svd_per_call(self, monkeypatch, ring16, ring16_graph):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(kwargs)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
+        assert calls == [{"full_matrices": False}]
+        calls.clear()
+        perturbation_experiment(epsilons=(1e-3,), trials=5)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("method", ["classical", "ldr"])
