@@ -120,7 +120,7 @@ def perturbation_experiment(epsilons=DEFAULT_EPSILONS, trials: int = DEFAULT_TRI
         if not 0.0 < eps < np.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {eps}")
         bound = theorem1_bound(CROSS_LAMBDA1, 0.0, eps)
-        U, lam = _svd(base + eps * noise)
+        U, lam, _ = _svd(base + eps * noise)
         try:
             w_cl = _classical(U, lam, 0.0, pinv_singular=True)
         except DegenerateWeightsError as exc:

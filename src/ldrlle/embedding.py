@@ -21,7 +21,6 @@ import scipy.sparse.linalg
 
 from .datasets import validate_cloud, write_json, write_rows
 from .errors import DisconnectedGraphError, EigenSolverError
-from .weights import _fix_signs
 
 # The constant mode's eigenvalue ||(I - W)1||^2 / N must be below this times
 # ||I - W||_F^2 / N, a lower bound on the largest eigenvalue of M that needs
@@ -49,6 +48,13 @@ class Embedding:
     Y: np.ndarray             # (N, d)
     eigenvalues: np.ndarray   # (d,) ascending, non-negative
     dropped_eigenvalue: float
+
+
+def _fix_signs(U: np.ndarray) -> np.ndarray:
+    """Make each column's largest-magnitude entry positive (first one on ties), per matrix."""
+    lead = np.argmax(np.abs(U), axis=-2)
+    picked = np.take_along_axis(U, lead[..., None, :], axis=-2)
+    return U * np.where(picked < 0.0, -1.0, 1.0)
 
 
 def _bottom_subspace(A, r: int, k: int) -> np.ndarray:

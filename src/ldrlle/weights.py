@@ -10,16 +10,20 @@ regularization, and the weights depend only on the projector onto the
 discarded singular directions, which is well defined whenever the top-d
 spectral gap is.
 
-Both are spectral filters on one thin SVD per neighborhood.  With rows = U S V',
-left-singular vectors u_j, singular values lambda_j (zero past m = min(K, D))
-and c_j = u_j'1, every solver returns w = sum_j f_j c_j u_j normalized to sum
-to one; only the filter f differs.  The rank-d filter is f_j = [j > d]; the
-classical one is f_j = 1 / (lambda_j^2 + mu), the ridge solve (G + mu I)^-1 1
-without ever forming the Gram matrix G = rows rows', whose condition number
-is the square of the rows'.  Every filter is constant past m, at its value
-f_tail at lambda = 0, and the discarded columns span the complement of the
-first m, so w = f_tail 1 + sum_{j<m} (f_j - f_tail) c_j u_j needs only the m
-columns of the thin basis; the (K, K) basis is never computed.
+Both are spectral filters on one thin SVD per neighborhood, taken in one
+place (_svd) for every solver, assembly and the perturbation study alike.
+With rows = U S V', left-singular vectors u_j, singular values lambda_j (zero
+past m = min(K, D)) and c_j = u_j'1, every solver returns
+w = sum_j f_j c_j u_j normalized to sum to one; only the filter f differs.
+The rank-d filter is f_j = [j > d]; the classical one is
+f_j = 1 / (lambda_j^2 + mu), the ridge solve (G + mu I)^-1 1 without ever
+forming the Gram matrix G = rows rows', whose condition number is the square
+of the rows'.  Every filter is constant past m, at its value f_tail at
+lambda = 0, and the discarded columns span the complement of the first m, so
+w = f_tail 1 + sum_{j<m} (f_j - f_tail) c_j u_j needs only the m columns of
+the thin basis; the (K, K) basis is never computed, and no function returns
+a basis.  Assembly reads its one spectrum record, Spectra (singular values,
+alpha, radius and gap flags for every point), off the same SVD.
 
 A neighborhood is a plain (K, D) array of centered rows eta_j - x_i.  Every
 solve is written once, as a kernel over a stack of such neighborhoods of
@@ -56,31 +60,19 @@ _ROW_ERRORS = (SingularNeighborhoodError, DegenerateWeightsError, GeneralPositio
 
 
 @dataclass
-class NeighborhoodSpectrum:
-    """SVD of one centered neighborhood, split at rank d.
-
-    singular_values has length K (zero-padded when D < K) in descending
-    order.  U1 spans the top-d left-singular directions and U2 the rest;
-    alpha = (1/K) * ||U1' 1||^2 measures how much of the ones vector the
-    retained subspace captures (alpha -> 1 means the projected neighbors
-    leave general position).  gap_warning flags a numerically ill-defined
-    split: (lambda_d - lambda_{d+1}) / lambda_1 below 1e-6.
-    """
-
-    singular_values: np.ndarray  # (K,)
-    U1: np.ndarray               # (K, d)
-    U2: np.ndarray               # (K, K - d)
-    alpha: float
-    d: int
-    gap_warning: bool = False
-
-
-@dataclass
 class Spectra:
     """Rank-d splits of all neighborhoods of a cloud; row i belongs to point i.
 
-    singular_values, alpha and gap_warning are as in NeighborhoodSpectrum;
-    radius is the largest distance from the point to one of its neighbors.
+    singular_values holds each neighborhood's K singular values in descending
+    order, zero-padded past m = min(K, D).  alpha = (1/K) * ||U1' 1||^2, with
+    U1 the top-d left-singular directions, measures how much of the ones
+    vector the retained subspace captures (alpha -> 1 means the projected
+    neighbors leave general position).  gap_warning flags a numerically
+    ill-defined split: lambda_1 = 0, or (lambda_d - lambda_{d+1}) / lambda_1
+    below 1e-6.  Past the thin rank, d >= m, U1 is the whole thin basis, so
+    alpha (and the ldr weights) equal those at d = m bit for bit, and for
+    d > m every row is gap-warned, lambda_d = lambda_{d+1} = 0.  radius is
+    the largest distance from the point to one of its neighbors.
     """
 
     singular_values: np.ndarray  # (N, K)
@@ -92,14 +84,23 @@ class Spectra:
 
 def _per_row(kernel, rows):
     """kernel(U, lam) on the stacked SVD of an (N, K, D) stack, or of one (K, D)
-    neighborhood run as a stack of one, whose errors then name no point."""
+    neighborhood run as a stack of one, whose errors then name no point.  An
+    empty or non-finite neighborhood is refused before the SVD."""
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim == 3:
-        return kernel(*_svd(rows))
-    if rows.ndim != 2:
+    if rows.ndim not in (2, 3):
         raise ValueError(f"need one (K, D) neighborhood or an (N, K, D) stack, got {rows.shape}")
+    if 0 in rows.shape[-2:]:
+        raise ValueError(f"need K >= 1 neighbors with D >= 1 coordinates, got {rows.shape}")
+    stack = rows if rows.ndim == 3 else rows[None]
+    bad = ~np.isfinite(stack).all(axis=(1, 2))
+    if bad.any():
+        row = f" {int(np.argmax(bad))}" if rows.ndim == 3 else ""
+        raise ValueError(f"neighborhood{row} contains non-finite entries")
+    U, lam, _ = _svd(stack)
+    if rows.ndim == 3:
+        return kernel(U, lam)
     try:
-        return kernel(*_svd(rows[None]))[0]
+        return kernel(U, lam)[0]
     except _ROW_ERRORS as exc:
         exc.point_index = None
         raise
@@ -110,51 +111,25 @@ def _sqnorm(v: np.ndarray) -> np.ndarray:
     return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _fix_signs(U: np.ndarray) -> np.ndarray:
-    """Make each column's largest-magnitude entry positive (first one on ties), per matrix."""
-    lead = np.argmax(np.abs(U), axis=-2)
-    picked = np.take_along_axis(U, lead[..., None, :], axis=-2)
-    return U * np.where(picked < 0.0, -1.0, 1.0)
-
-
-def _unit_scaled(rows: np.ndarray):
-    """Each neighborhood times 2^-e, e per neighborhood, so that its largest
-    entry lies in [1/2, 1) (an all-zero one keeps e = 0), and e."""
-    e = np.frexp(np.abs(rows).max(axis=(1, 2)))[1]
-    return np.ldexp(rows, -e[:, None, None]), e
-
-
 def _svd(rows: np.ndarray):
-    """Stacked thin SVD: left-singular bases (N, K, m), m = min(K, D), with
-    LAPACK's column signs, and the singular values, descending and
-    zero-padded to (N, K).
+    """Stacked thin SVD of an (N, K, D) stack, the only SVD the library takes.
 
-    Every weight and alpha is invariant under a column's sign, and negation
-    is exact, so only a caller that returns a basis fixes its signs.  Each
-    neighborhood is first scaled by a power of two to a largest entry in
-    [1/2, 1), where LAPACK applies no scaling of its own, so the basis is the
+    Returns the left-singular bases (N, K, m), m = min(K, D), with LAPACK's
+    column signs; the singular values, descending and zero-padded to (N, K);
+    and each neighborhood's radius (N,), the largest norm of one of its rows.
+    No caller returns a basis, and every weight and alpha is invariant under
+    a column's sign, so no sign is fixed.  Each neighborhood is first scaled
+    by a power of two to a largest entry in [1/2, 1) (an all-zero one is left
+    as it is), where LAPACK applies no scaling of its own, so the basis is the
     same bits for the cloud scaled by any 2^k and the singular values scale
-    exactly."""
-    scaled, e = _unit_scaled(rows)
+    exactly.  The radius is taken on the same scaled rows, where the largest
+    squared row norm cannot underflow."""
+    e = np.frexp(np.abs(rows).max(axis=(1, 2)))[1]
+    scaled = np.ldexp(rows, -e[:, None, None])
     U, s, _ = np.linalg.svd(scaled, full_matrices=False)
-    return U, np.pad(np.ldexp(s, e[:, None]), ((0, 0), (0, rows.shape[1] - s.shape[1])))
-
-
-def _split(U: np.ndarray, lam: np.ndarray, rows: np.ndarray, d: int) -> Spectra:
-    """Spectra of a stacked SVD split at rank d."""
-    K = lam.shape[1]
-    if not 1 <= d < K:
-        raise ValueError(f"need 1 <= d < K = {K}, got d = {d}")
-    alpha = _sqnorm(np.ones(K) @ U[:, :, :d]) / K
-    # Exact power-of-two scaling per neighborhood keeps tiny offsets' squares from underflowing.
-    scaled, e = _unit_scaled(rows)
+    lam = np.pad(np.ldexp(s, e[:, None]), ((0, 0), (0, rows.shape[1] - s.shape[1])))
     np.square(scaled, out=scaled)
-    radius = np.ldexp(np.sqrt(scaled.sum(axis=2).max(axis=1)), e)
-    top = lam[:, 0]
-    gap = (top <= 0.0) | (
-        (lam[:, d - 1] - lam[:, d]) / np.where(top > 0.0, top, 1.0) < GAP_WARN_REL
-    )
-    return Spectra(lam, alpha, radius, gap, d)
+    return U, lam, np.ldexp(np.sqrt(scaled.sum(axis=2).max(axis=1)), e)
 
 
 def _filtered(U: np.ndarray, f: np.ndarray):
@@ -235,25 +210,6 @@ def _classical(U: np.ndarray, lam: np.ndarray, delta: float,
     return w / total[:, None]
 
 
-def neighborhood_spectrum(rows, d: int) -> NeighborhoodSpectrum:
-    """Full SVD split of one (K, D) neighborhood at rank d (requires 1 <= d < K).
-
-    It takes its own full SVD, since U2 has K - d columns even when D < K.
-    Column signs follow the largest-magnitude-entry-positive convention, so
-    repeated runs on the same machine agree bit for bit.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError(f"need one (K, D) neighborhood, got {rows.shape}")
-    rows = rows[None]
-    U, s, _ = np.linalg.svd(rows, full_matrices=True)
-    lam = np.pad(s, ((0, 0), (0, rows.shape[1] - s.shape[1])))
-    spec = _split(U, lam, rows, d)
-    U = _fix_signs(U)
-    return NeighborhoodSpectrum(spec.singular_values[0], U[0, :, :d], U[0, :, d:],
-                                float(spec.alpha[0]), d, bool(spec.gap_warning[0]))
-
-
 def lle_weights(rows, delta: float) -> np.ndarray:
     """Classical reconstruction weights, optionally regularized.
 
@@ -295,7 +251,9 @@ def ldr_weights(rows, d: int) -> np.ndarray:
     reconstruction is exact where the classical Gram solve would have needed
     a ridge.  Raises GeneralPositionError when 1' U2 U2' 1 <= 1e-12 * K, i.e.
     the ones vector numerically lies inside the retained subspace (alpha = 1).
-    Takes one neighborhood or a stack, as lle_weights does.
+    For d >= m = min(K, D) the retained span is the whole column space, so
+    the weights equal those at d = m bit for bit.  Takes one neighborhood or
+    a stack, as lle_weights does.
     """
     return _per_row(lambda U, lam: _ldr(U, d), rows)
 
@@ -336,8 +294,14 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     check_extent(X)
     rows = X[graph]
     rows -= X[:, None, :]
-    U, lam = _svd(rows)
-    spectra = _split(U, lam, rows, d) if 1 <= d < K else None
+    U, lam, radius = _svd(rows)
+    spectra = None
+    if 1 <= d < K:
+        top = lam[:, 0]
+        gap = (top <= 0.0) | (
+            (lam[:, d - 1] - lam[:, d]) / np.where(top > 0.0, top, 1.0) < GAP_WARN_REL
+        )
+        spectra = Spectra(lam, _sqnorm(np.ones(K) @ U[:, :, :d]) / K, radius, gap, d)
     try:
         data = _ldr(U, d) if method == "ldr" else _classical(U, lam, delta)
     except _ROW_ERRORS as exc:

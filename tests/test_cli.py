@@ -721,3 +721,23 @@ class TestTopLevel:
         assert len(json.loads((tmp_path / "r.json").read_text())["reports"]) == 3
         assert entry("embed", "--out", "y.csv") == 2
         assert not (tmp_path / "y.csv").exists()
+
+    def test_every_svd_is_thin(self, tmp_path, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(kwargs)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for method in ("ldr", "classical"):
+            assert run("embed", "--generator", "swissroll", "--n", "300", "--method", method,
+                       "--out", str(tmp_path / f"{method}.csv"),
+                       "--dump-spectra", str(tmp_path / f"{method}.spectra.csv")) == 0
+        assert run("perturb", "--trials", "5", "--out", str(tmp_path / "p.json")) == 0
+        assert run("theorem2", "--generator", "ring", "--n-list", "48", "64", "--k", "4",
+                   "--d", "1", "--permutations", "2", "--out", str(tmp_path / "t.json")) == 0
+        # One per embed, one per epsilon, one per size.
+        assert len(calls) == 2 + 3 + 2
+        assert all(kwargs.get("full_matrices", True) is False for kwargs in calls)

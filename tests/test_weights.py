@@ -1,6 +1,7 @@
 """Weight solvers: classical regularized and rank-d representation weights."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from ldrlle import (
     ldr_weights,
     lle_weights,
     lle_weights_pinv,
-    neighborhood_spectrum,
     perturbation_experiment,
     save_spectra,
     save_weight_matrix,
@@ -49,33 +49,32 @@ def random_hood(rng, K, D):
 TWO_OPPOSITE = hood([[-1.0, 0.0], [1.0, 0.0]])
 
 
+def spectra_of(rows, d):
+    """Row 0 of the spectra assembly reports for the star cloud of one
+    neighborhood: point 0 at the origin, points 1..K at the rows, and every
+    point's neighbors all the other points, so point 0's neighborhood is rows."""
+    X = np.vstack([np.zeros((1, hood(rows).shape[1])), hood(rows)])
+    graph = np.array([[j for j in range(len(X)) if j != i] for i in range(len(X))])
+    spectra = assemble_weight_matrix(X, graph, "classical", d=d)[1]
+    return SimpleNamespace(**{field: getattr(spectra, field)[0] for field in
+                              ("singular_values", "alpha", "radius", "gap_warning")})
+
+
 class TestNeighborhoodSpectrum:
     def test_two_opposite_points(self):
-        spec = neighborhood_spectrum(TWO_OPPOSITE, 1)
+        spec = spectra_of(TWO_OPPOSITE, 1)
         np.testing.assert_allclose(spec.singular_values, [np.sqrt(2.0), 0.0], atol=1e-15)
         assert spec.alpha == pytest.approx(0.0, abs=1e-15)
-        # U2 spans (1,1)/sqrt(2): its projector is the all-half matrix.
-        proj = spec.U2 @ spec.U2.T
-        np.testing.assert_allclose(proj, np.full((2, 2), 0.5), atol=1e-15)
 
     def test_grid_cross_spectrum(self):
-        spec = neighborhood_spectrum(grid_cross_neighborhood(), 2)
+        spec = spectra_of(grid_cross_neighborhood(), 2)
         np.testing.assert_allclose(
             spec.singular_values, [0.99, 0.99, 0.0, 0.0], atol=1e-15
         )
         assert spec.alpha == pytest.approx(0.0, abs=1e-15)
 
-    def test_left_basis_orthonormal(self, rng):
-        for _ in range(20):
-            K = int(rng.integers(3, 10))
-            D = int(rng.integers(2, 7))
-            d = int(rng.integers(1, K))
-            spec = neighborhood_spectrum(random_hood(rng, K, D), d)
-            U = np.hstack([spec.U1, spec.U2])
-            assert np.max(np.abs(U.T @ U - np.eye(K))) < 1e-10
-
     def test_singular_values_padded_and_sorted(self, rng):
-        spec = neighborhood_spectrum(random_hood(rng, 9, 3), 2)
+        spec = spectra_of(random_hood(rng, 9, 3), 2)
         assert spec.singular_values.shape == (9,)
         np.testing.assert_array_equal(spec.singular_values[3:], 0.0)
         assert np.all(np.diff(spec.singular_values) <= 0.0)
@@ -89,7 +88,7 @@ class TestNeighborhoodSpectrum:
             D = int(rng.integers(2, 7))
             d = int(rng.integers(1, min(K, D)))
             rows = rng.normal(size=(K, D))
-            spec = neighborhood_spectrum(hood(rows), d)
+            spec = spectra_of(rows, d)
             trunc = rank_d_truncation(rows, d)
             P = trunc @ np.linalg.pinv(trunc)
             alpha_oracle = float(np.ones(K) @ P @ np.ones(K)) / K
@@ -97,35 +96,14 @@ class TestNeighborhoodSpectrum:
 
     def test_alpha_within_unit_interval(self, rng):
         for _ in range(20):
-            spec = neighborhood_spectrum(random_hood(rng, 6, 4), 2)
+            spec = spectra_of(random_hood(rng, 6, 4), 2)
             assert -1e-12 <= spec.alpha <= 1.0 + 1e-12
-
-    def test_deterministic_sign_convention(self, rng):
-        rows = rng.normal(size=(7, 3))
-        a = neighborhood_spectrum(hood(rows), 2)
-        b = neighborhood_spectrum(hood(rows.copy()), 2)
-        np.testing.assert_array_equal(a.U1, b.U1)
-        np.testing.assert_array_equal(a.U2, b.U2)
-        for U in (a.U1, a.U2):
-            lead = np.argmax(np.abs(U), axis=0)
-            assert np.all(U[lead, np.arange(U.shape[1])] >= 0.0)
 
     def test_gap_warning_on_coincident_split(self):
         # The cross has a double top singular value: splitting at d = 1 is
         # ill-defined and must be flagged; splitting at d = 2 is clean.
-        assert neighborhood_spectrum(grid_cross_neighborhood(), 1).gap_warning
-        assert not neighborhood_spectrum(grid_cross_neighborhood(), 2).gap_warning
-
-    def test_d_out_of_range(self):
-        with pytest.raises(ValueError):
-            neighborhood_spectrum(TWO_OPPOSITE, 0)
-        with pytest.raises(ValueError):
-            neighborhood_spectrum(TWO_OPPOSITE, 2)
-
-    @pytest.mark.parametrize("shape", [(5, 6, 3), (5,)])
-    def test_anything_but_one_neighborhood_is_refused(self, shape):
-        with pytest.raises(ValueError, match=r"\(K, D\) neighborhood"):
-            neighborhood_spectrum(np.ones(shape), 2)
+        assert spectra_of(grid_cross_neighborhood(), 1).gap_warning
+        assert not spectra_of(grid_cross_neighborhood(), 2).gap_warning
 
 
 class TestClassicalWeights:
@@ -287,10 +265,10 @@ class TestRankDWeights:
             D = int(rng.integers(3, 6))
             d = int(rng.integers(1, min(K, D)))
             rows = rng.normal(size=(K, D))
-            spec = neighborhood_spectrum(hood(rows), d)
             w = ldr_weights(hood(rows), d)
             retained = rank_d_truncation(rows, d)
-            assert np.linalg.norm(w @ retained) < 1e-8 * spec.singular_values[0]
+            top = np.linalg.svd(rows, compute_uv=False)[0]
+            assert np.linalg.norm(w @ retained) < 1e-8 * top
 
     def test_minimum_norm_among_feasible(self, rng):
         count = 0
@@ -299,9 +277,9 @@ class TestRankDWeights:
             D = int(rng.integers(2, 6))
             d = int(rng.integers(1, min(K, D)))
             h = random_hood(rng, K, D)
-            spec = neighborhood_spectrum(h, d)
+            U2 = np.linalg.svd(h)[0][:, d:]
             w = ldr_weights(h, d)
-            for v in feasible_in_discarded_span(spec.U2, 5, rng):
+            for v in feasible_in_discarded_span(U2, 5, rng):
                 assert np.linalg.norm(w) <= np.linalg.norm(v) + 1e-8
             count += 1
 
@@ -313,9 +291,8 @@ class TestRankDWeights:
             D = int(rng.integers(3, 7))
             d = int(rng.integers(1, min(K, D)))
             h = random_hood(rng, K, D)
-            spec = neighborhood_spectrum(h, d)
             w = ldr_weights(h, d)
-            tail = spec.singular_values[d]
+            tail = np.linalg.svd(h, compute_uv=False)[d]
             bound = tail**2 * float(w @ w) + 1e-10
             assert reconstruction_error(h, w) <= bound
 
@@ -414,7 +391,7 @@ class TestAssembly:
         # Row i belongs to point i.
         for i in range(16):
             h = ring16.points[ring16_graph[i]] - ring16.points[i]
-            spec = neighborhood_spectrum(h, 1)
+            spec = spectra_of(h, 1)
             np.testing.assert_array_equal(spectra.singular_values[i], spec.singular_values)
             assert spectra.alpha[i] == spec.alpha
             assert spectra.radius[i] == np.sqrt((h * h).sum(axis=1).max())
@@ -544,6 +521,39 @@ class TestThinKernels:
         assert np.max(np.abs(w - full_basis_weights(rows, pinv_filter))) < 1e-13
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("bad", ["nan", "inf", "K = 0", "D = 0"])
+@pytest.mark.parametrize("solver", sorted(TestThinKernels.SOLVERS))
+def test_bad_neighborhoods_are_refused_before_the_svd(solver, bad, stacked, monkeypatch):
+    rows = np.random.default_rng(0).normal(size=(5, 4, 3))
+    if bad in ("nan", "inf"):
+        rows[3, 1, 2] = float(bad)
+        match = "neighborhood 3 contains non-finite" if stacked else "neighborhood contains non-finite"
+    else:
+        rows = rows[:, :0] if bad == "K = 0" else rows[:, :, :0]
+        match = "K >= 1 neighbors with D >= 1 coordinates"
+    monkeypatch.setattr(np.linalg, "svd", None)
+    solve, _ = TestThinKernels.SOLVERS[solver]
+    with pytest.raises(ValueError, match=match):
+        solve(rows if stacked else rows[3])
+
+
+def test_ranks_past_the_thin_rank_are_the_thin_rank():
+    # K = 12 neighbors in D = 3: the thin rank is m = 3, and the discarded
+    # span for any d >= m is the complement of the whole column space.
+    X = gen_swissroll(1500, seed=0).points
+    graph = knn(X, 12)
+    rows = X[graph] - X[:, None]
+    W3, spectra3 = assemble_weight_matrix(X, graph, "ldr", d=3)
+    assert not spectra3.gap_warning.all()
+    for d in (4, 7, 11):
+        W, spectra = assemble_weight_matrix(X, graph, "ldr", d=d)
+        np.testing.assert_array_equal(W.toarray(), W3.toarray())
+        np.testing.assert_array_equal(spectra.alpha, spectra3.alpha)
+        assert spectra.gap_warning.all()
+        np.testing.assert_array_equal(ldr_weights(rows, d), ldr_weights(rows, 3))
+
+
 class TestAssemblyCost:
     def test_traced_peak_stays_under_the_full_basis(self):
         # The full (N, K, K) basis alone is 8000 * 12 * 12 * 8 bytes = 8.8 MiB;
@@ -573,6 +583,12 @@ class TestAssemblyCost:
         calls.clear()
         perturbation_experiment(epsilons=(1e-3,), trials=5)
         assert len(calls) == 1
+        rows = ring16.points[ring16_graph] - ring16.points[:, None]
+        for solve, _ in TestThinKernels.SOLVERS.values():
+            for neighborhoods in (rows[0], rows):
+                calls.clear()
+                solve(neighborhoods)
+                assert calls == [{"full_matrices": False}]
 
 
 @pytest.mark.parametrize("method", ["classical", "ldr"])
