@@ -4,115 +4,15 @@ experiments built around the method: weight-stability bounds under
 perturbation, preimage objective-value scaling, and embedding-quality
 statistics against ground truth."""
 
-from .datasets import (
-    GENERATORS,
-    GeneratedSample,
-    gen_open_ring,
-    gen_scurve,
-    gen_swissroll,
-    generate,
-    load_csv,
-    preimage_path,
-    save_csv,
-    save_sample,
-    scurve_map,
-    swissroll_map,
-    validate_cloud,
-)
-from .diagnostics import (
-    DEFAULT_EPSILONS,
-    DEFAULT_TRIALS,
-    EmbeddingDiagnostics,
-    PerturbationReport,
-    Theorem2Result,
-    grid_cross_neighborhood,
-    linear_projection_diagnostic,
-    linear_r2,
-    monotonicity_1d,
-    permuted_preimage_null,
-    perturbation_experiment,
-    perturbation_report_dict,
-    procrustes_residual,
-    reconstruction_error,
-    theorem1_bound,
-    theorem2_check_from_parts,
-)
-from .embedding import Embedding, embed, phi, save_embedding
-from .errors import (
-    CsvFormatError,
-    DegenerateWeightsError,
-    DisconnectedGraphError,
-    EigenSolverError,
-    GeneralPositionError,
-    LdrLleError,
-    SingularNeighborhoodError,
-    UndefinedCorrelationError,
-)
-from .neighbors import knn, save_neighbor_graph
-from .weights import (
-    DEFAULT_DELTA,
-    Spectra,
-    assemble_weight_matrix,
-    ldr_weights,
-    lle_weights,
-    lle_weights_pinv,
-    save_spectra,
-    save_weight_matrix,
-)
+from . import datasets, diagnostics, embedding, errors, neighbors, weights
+from .datasets import *
+from .diagnostics import *
+from .embedding import *
+from .errors import *
+from .neighbors import *
+from .weights import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GENERATORS",
-    "GeneratedSample",
-    "gen_open_ring",
-    "gen_scurve",
-    "gen_swissroll",
-    "generate",
-    "load_csv",
-    "preimage_path",
-    "save_csv",
-    "save_sample",
-    "scurve_map",
-    "swissroll_map",
-    "validate_cloud",
-    "DEFAULT_EPSILONS",
-    "DEFAULT_TRIALS",
-    "EmbeddingDiagnostics",
-    "PerturbationReport",
-    "Theorem2Result",
-    "grid_cross_neighborhood",
-    "linear_projection_diagnostic",
-    "linear_r2",
-    "monotonicity_1d",
-    "permuted_preimage_null",
-    "perturbation_experiment",
-    "perturbation_report_dict",
-    "procrustes_residual",
-    "reconstruction_error",
-    "theorem1_bound",
-    "theorem2_check_from_parts",
-    "Embedding",
-    "embed",
-    "phi",
-    "save_embedding",
-    "CsvFormatError",
-    "DegenerateWeightsError",
-    "DisconnectedGraphError",
-    "EigenSolverError",
-    "GeneralPositionError",
-    "LdrLleError",
-    "SingularNeighborhoodError",
-    "UndefinedCorrelationError",
-    "knn",
-    "save_neighbor_graph",
-    "DEFAULT_DELTA",
-    "Spectra",
-    "assemble_weight_matrix",
-    "ldr_weights",
-    "lle_weights",
-    "lle_weights_pinv",
-    "save_spectra",
-    "save_weight_matrix",
-    "__version__",
-]
+__all__ = (datasets.__all__ + diagnostics.__all__ + embedding.__all__ + errors.__all__
+           + neighbors.__all__ + weights.__all__ + ["__version__"])

@@ -33,6 +33,26 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _refuse_shared_paths(inputs, outputs) -> None:
+    """Raise ValueError, naming both flags, for an output that names an input
+    or another output.  Both are (flag, path or None) pairs; paths compare
+    resolved.  Commands call it before they read or write anything."""
+    seen = {path.resolve(): flag for flag, path in inputs if path is not None}
+    for flag, path in outputs:
+        if path is not None and seen.setdefault(path.resolve(), flag) != flag:
+            raise ValueError(f"{flag} {path} is the same file as {seen[path.resolve()]}; "
+                             "an output may not overwrite an input or another output")
+
+
+def _inputs(args):
+    """The files embed and theorem2 may read.  The preimage beside --input
+    counts whether or not it exists: once written, it is read as ground truth."""
+    inputs = [("--input", args.input), ("--preimage", args.preimage)]
+    if args.input is not None:
+        inputs.append(("the preimage beside --input", datasets.preimage_path(args.input)))
+    return inputs
+
+
 def _samples(args, sizes):
     """Yield (points, preimage or None): one lazily generated sample per size
     with --generator, else the --input file once, with --preimage or else the
@@ -62,6 +82,15 @@ def cmd_embed(args) -> int:
     if args.method == "ldr" and args.delta is not None:
         raise ValueError("--delta applies only with --method classical: "
                          "the rank-d weights take no regularization")
+    sidecar = args.out.with_suffix(".json")
+    _refuse_shared_paths(_inputs(args), [
+        ("--out", args.out),
+        # save_embedding refuses an --out that is its own sidecar, in its own words.
+        ("the sidecar of --out", None if sidecar == args.out else sidecar),
+        ("--dump-neighbors", args.dump_neighbors),
+        ("--dump-weights", args.dump_weights),
+        ("--dump-spectra", args.dump_spectra),
+    ])
     # The sidecar records the seed and delta that were used, null where none was.
     if args.generator is not None and args.seed is None:
         args.seed = 0
@@ -123,6 +152,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    _refuse_shared_paths([], [("--out", args.out), ("--csv", args.csv)])
     reports = diagnostics.perturbation_experiment(
         epsilons=args.epsilons, trials=args.trials, seed=args.seed
     )
@@ -166,6 +196,7 @@ def cmd_theorem2(args) -> int:
             "--input requires --preimage: the objective-value check "
             "scores ground-truth parameters, which an arbitrary CSV does not carry"
         )
+    _refuse_shared_paths(_inputs(args), [("--out", args.out)])
     rows = []
     for X, Z in _samples(args, args.n_list or (500, 1000, 2000)):
         graph = neighbors.knn(X, args.k)

@@ -17,6 +17,22 @@ import numpy as np
 
 from .errors import CsvFormatError, LdrLleError
 
+__all__ = [
+    "GENERATORS",
+    "GeneratedSample",
+    "gen_open_ring",
+    "gen_scurve",
+    "gen_swissroll",
+    "generate",
+    "load_csv",
+    "preimage_path",
+    "save_csv",
+    "save_sample",
+    "scurve_map",
+    "swissroll_map",
+    "validate_cloud",
+]
+
 # The open ring spans 270 degrees.  The 90-degree gap is larger than four
 # point spacings at n = 16, so Euclidean neighborhoods (K <= 4) never jump
 # the opening and arc length stays recoverable from the graph.

@@ -17,6 +17,25 @@ from .embedding import phi
 from .errors import DegenerateWeightsError, UndefinedCorrelationError
 from .weights import _classical, _ldr, _sqnorm, _svd
 
+__all__ = [
+    "DEFAULT_EPSILONS",
+    "DEFAULT_TRIALS",
+    "EmbeddingDiagnostics",
+    "PerturbationReport",
+    "Theorem2Result",
+    "grid_cross_neighborhood",
+    "linear_projection_diagnostic",
+    "linear_r2",
+    "monotonicity_1d",
+    "permuted_preimage_null",
+    "perturbation_experiment",
+    "perturbation_report_dict",
+    "procrustes_residual",
+    "reconstruction_error",
+    "theorem1_bound",
+    "theorem2_check_from_parts",
+]
+
 # Top singular value of the rescaled grid cross; must stay below 1 for the
 # stability bound to apply, and 0.99 keeps all the study epsilons inside the
 # bound's precondition region.
@@ -107,7 +126,8 @@ def perturbation_experiment(epsilons=DEFAULT_EPSILONS, trials: int = DEFAULT_TRI
     every epsilon, a report depends only on (seed, trials, epsilon), and a run
     with fewer trials is a prefix of one with more.  A trial whose classical
     weights sum to zero raises DegenerateWeightsError naming its epsilon and
-    trial, with the trial as point_index.
+    trial, with the trial as point_index.  An epsilon that is not finite and
+    positive raises theorem1_bound's ValueError before its SVD.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -117,8 +137,6 @@ def perturbation_experiment(epsilons=DEFAULT_EPSILONS, trials: int = DEFAULT_TRI
     noise /= np.sqrt(_sqnorm(noise.reshape(trials, 16)))[:, None, None]
     reports = []
     for eps in epsilons:
-        if not 0.0 < eps < np.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {eps}")
         bound = theorem1_bound(CROSS_LAMBDA1, 0.0, eps)
         U, lam, _ = _svd(base + eps * noise)
         try:

@@ -22,6 +22,13 @@ import scipy.sparse.linalg
 from .datasets import validate_cloud, write_json, write_rows
 from .errors import DisconnectedGraphError, EigenSolverError
 
+__all__ = [
+    "Embedding",
+    "embed",
+    "phi",
+    "save_embedding",
+]
+
 # The constant mode's eigenvalue ||(I - W)1||^2 / N must be below this times
 # ||I - W||_F^2 / N, a lower bound on the largest eigenvalue of M that needs
 # no solve; otherwise the rows of W do not sum to one.

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CsvFormatError",
+    "DegenerateWeightsError",
+    "DisconnectedGraphError",
+    "EigenSolverError",
+    "GeneralPositionError",
+    "LdrLleError",
+    "SingularNeighborhoodError",
+    "UndefinedCorrelationError",
+]
+
 
 class LdrLleError(Exception):
     """Base class for algorithm-level failures."""

@@ -6,6 +6,11 @@ from scipy.spatial.distance import cdist
 
 from .datasets import validate_cloud, write_rows
 
+__all__ = [
+    "knn",
+    "save_neighbor_graph",
+]
+
 
 def check_extent(X: np.ndarray) -> None:
     """Refuse a cloud whose squared distances would overflow.
@@ -29,10 +34,11 @@ def knn(cloud, K: int) -> np.ndarray:
     resolved toward the smaller index, so the result is permutation-checkable
     and deterministic.
 
-    A KD-tree proposes K + 2 candidates per point.  Each candidate's squared
-    distance is re-scored one coordinate at a time, which rounds exactly like
-    ``cdist(..., "sqeuclidean")``, and the candidates are sorted by (distance,
-    index).  A row is settled when its K-th distance lies below its farthest
+    A KD-tree proposes k = min(K + 2, N) candidates per point.  Each
+    candidate's squared distance is re-scored one coordinate at a time, which
+    rounds exactly like ``cdist(..., "sqeuclidean")``, and the candidates are
+    sorted by (distance, index).  A row is settled when k = N, since every
+    point is then a candidate, or when its K-th distance lies below its farthest
     candidate's by a relative margin of 4(D + 1 + b) machine epsilons, b the
     bit length of N.  A point the tree did not return was either scored at a
     leaf, at least as far as that candidate by the tree's own D-term sums, or
@@ -43,7 +49,8 @@ def knn(cloud, K: int) -> np.ndarray:
     re-score; each update of the bound rounds within a few ulps of it, and
     the median-split tree cKDTree builds by default is fewer than b levels
     deep.  Unsettled rows, such as ties across the candidate boundary, take
-    the full row of distances and a stable argsort.
+    the full row of distances and a stable argsort; a cloud with N <= K + 2
+    has none.
     """
     X = validate_cloud(cloud)
     n = X.shape[0]
@@ -57,24 +64,21 @@ def knn(cloud, K: int) -> np.ndarray:
     # the clip keeps the largest coordinate finite.
     e = max(np.frexp(np.ptp(X, axis=0).max())[1], np.frexp(np.abs(X).max())[1] - 1021)
     X = np.ldexp(X, -e)
-    indices = np.empty((n, K), dtype=np.intp)
-    rows = np.arange(n)
-    if K + 2 < n:
-        cand = cKDTree(X).query(X, k=K + 2)[1]
-        d2 = np.zeros(cand.shape)
-        for j in range(X.shape[1]):
-            d2 += (X[cand, j] - X[:, j, None]) ** 2
-        d2[cand == rows[:, None]] = np.inf  # exclude self
-        order = np.lexsort((cand, d2))
-        cand = np.take_along_axis(cand, order, axis=1)
-        d2 = np.take_along_axis(d2, order, axis=1)
-        margin = 4 * (X.shape[1] + 1 + n.bit_length()) * np.finfo(float).eps
-        # Column -2 is the farthest candidate other than self, which sorts
-        # last; without self among them it is a nearer one, a stricter test.
-        settled = d2[:, K - 1] < (1 - margin) * d2[:, -2]
-        indices[settled] = cand[settled, :K]
-        rows = rows[~settled]
-    for i in rows:
+    k = min(K + 2, n)
+    cand = cKDTree(X).query(X, k=k)[1]
+    d2 = np.zeros(cand.shape)
+    for j in range(X.shape[1]):
+        d2 += (X[cand, j] - X[:, j, None]) ** 2
+    d2[cand == np.arange(n)[:, None]] = np.inf  # exclude self
+    order = np.lexsort((cand, d2))
+    cand = np.take_along_axis(cand, order, axis=1)
+    d2 = np.take_along_axis(d2, order, axis=1)
+    margin = 4 * (X.shape[1] + 1 + n.bit_length()) * np.finfo(float).eps
+    # Column -2 is the farthest candidate other than self, which sorts last;
+    # without self among them it is a nearer one, a stricter test.
+    settled = (k == n) | (d2[:, K - 1] < (1 - margin) * d2[:, -2])
+    indices = cand[:, :K].copy()
+    for i in np.flatnonzero(~settled):
         d2 = cdist(X[i : i + 1], X, metric="sqeuclidean")[0]
         d2[i] = np.inf  # exclude self
         indices[i] = np.argsort(d2, kind="stable")[:K]

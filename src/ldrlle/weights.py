@@ -41,6 +41,17 @@ from .datasets import validate_cloud, write_rows
 from .errors import DegenerateWeightsError, GeneralPositionError, SingularNeighborhoodError
 from .neighbors import check_extent
 
+__all__ = [
+    "DEFAULT_DELTA",
+    "Spectra",
+    "assemble_weight_matrix",
+    "ldr_weights",
+    "lle_weights",
+    "lle_weights_pinv",
+    "save_spectra",
+    "save_weight_matrix",
+]
+
 # Regularization scale: the ridge added to the Gram matrix is
 # (delta / K) * trace(G), so it is invariant to input scaling.
 DEFAULT_DELTA = 1e-9

@@ -741,3 +741,33 @@ class TestTopLevel:
         # One per embed, one per epsilon, one per size.
         assert len(calls) == 2 + 3 + 2
         assert all(kwargs.get("full_matrices", True) is False for kwargs in calls)
+
+
+OVERWRITES = [
+    pytest.param(["embed", "--input", "roll.csv", "--out", "roll.preimage.csv"],
+                 ("--out", "--input"), id="embed-out-is-the-input-preimage"),
+    pytest.param(["embed", "--input", "roll.csv", "--out", "emb.csv",
+                  "--dump-weights", "emb.json"],
+                 ("--dump-weights", "--out"), id="weights-dump-is-the-sidecar"),
+    pytest.param(["embed", "--input", "roll.csv", "--out", "emb.csv",
+                  "--dump-spectra", "./sub/../emb.csv"],
+                 ("--dump-spectra", "--out"), id="spectra-dump-is-the-embedding"),
+    pytest.param(["perturb", "--trials", "3", "--out", "r.json", "--csv", "r.json"],
+                 ("--csv", "--out"), id="perturb-csv-is-the-report"),
+    pytest.param(["theorem2", "--input", "roll.csv", "--preimage", "roll.preimage.csv",
+                  "--out", "roll.csv"],
+                 ("--out", "--input"), id="theorem2-out-is-the-input"),
+]
+
+
+@pytest.mark.parametrize("argv, flags", OVERWRITES)
+def test_an_output_that_would_overwrite_a_file_of_the_run_is_refused(
+        argv, flags, tmp_path, monkeypatch, capsys):
+    # Paths compare resolved, and the refusal comes before any file is written.
+    monkeypatch.chdir(tmp_path)
+    save_sample(gen_swissroll(60, seed=1), "roll.csv")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in flags)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

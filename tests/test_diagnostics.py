@@ -212,6 +212,15 @@ class TestPerturbationExperiment:
         with pytest.raises(ValueError):
             perturbation_experiment(epsilons=(1e-2, -1.0), trials=5)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_epsilon_is_refused_before_its_svd(self, epsilon, monkeypatch):
+        def refusing_svd(*args, **kwargs):
+            raise AssertionError("svd ran on a refused epsilon")
+
+        monkeypatch.setattr(np.linalg, "svd", refusing_svd)
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
+            perturbation_experiment(epsilons=(epsilon,), trials=3)
+
 
 class TestObjectiveValueCheck:
     def test_ring_preimage_beats_permuted_null(self):

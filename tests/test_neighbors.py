@@ -226,6 +226,22 @@ class TestTreeSearchIsExact:
         monkeypatch.setattr(ldrlle.neighbors, "cdist", refusing_cdist)
         np.testing.assert_array_equal(knn(X, 12), expected)
 
+    def test_small_clouds_never_take_the_row_sweep(self, rng, monkeypatch):
+        # With N <= K + 2 the tree returns every point, so each row is exact.
+        # Unrounded Gaussian clouds keep the oracle's order away from near-ties.
+        def refusing_cdist(*args, **kwargs):
+            raise AssertionError("row sweep ran on a small cloud")
+
+        monkeypatch.setattr(ldrlle.neighbors, "cdist", refusing_cdist)
+        for n in range(2, 16):
+            for D in (1, 2, 3, 5):
+                X = rng.normal(size=(n, D))
+                for K in range(1, n):
+                    graph = knn(X, K)
+                    assert graph.shape == (n, K) and graph.dtype == np.intp
+                    assert graph.flags.c_contiguous
+                    np.testing.assert_array_equal(graph, brute_force_knn(X, K))
+
     def test_identical_points_stay_within_a_fixed_memory_budget(self):
         # One fixed query bounds the candidate arrays at K + 2 per row; a
         # search widening until ties resolve would hold about n candidates each.

@@ -1,5 +1,6 @@
 """The README's library and command-line examples run against the current API."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -55,3 +56,22 @@ def test_public_surface():
     called = set(re.findall(r"`(\w+)\(", README.read_text())) - {"cdist"}
     assert called
     assert called <= set(PUBLIC)
+
+
+MODULES = ("datasets", "diagnostics", "embedding", "errors", "neighbors", "weights")
+
+
+def test_public_surface_is_partitioned_by_module():
+    # Each public name is declared once, in the `__all__` of the module that
+    # defines it; the package's list is their union plus __version__.
+    modules = [importlib.import_module(f"ldrlle.{name}") for name in MODULES]
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert sorted(names + ["__version__"]) == sorted(ldrlle.__all__)
+    namespace = {}
+    exec("from ldrlle.weights import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(ldrlle.weights.__all__)
