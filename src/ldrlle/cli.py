@@ -23,6 +23,16 @@ EXIT_DISCONNECTED = 3
 EXIT_GENERAL_POSITION = 4
 EXIT_NUMERICAL = 5
 
+# The exit code of a failed command is the first entry its exception matches.
+# The order matters: LinAlgError is a ValueError but a numerical failure,
+# while CsvFormatError is a ValueError and a usage problem, as is a missing file.
+EXIT_CODES = (
+    ((DisconnectedGraphError,), EXIT_DISCONNECTED),
+    ((GeneralPositionError,), EXIT_GENERAL_POSITION),
+    ((LdrLleError, np.linalg.LinAlgError), EXIT_NUMERICAL),
+    ((ValueError, OSError), EXIT_USAGE),
+)
+
 
 def cmd_generate(args) -> int:
     sample = datasets.generate(args.name, args.n, args.seed)
@@ -53,18 +63,32 @@ def _inputs(args):
     return inputs
 
 
-def _samples(args, sizes):
+def _config(args, **fields) -> dict:
+    """The run record a report carries: the command, its seed and its output
+    path, plus the command's own fields."""
+    return {"command": args.command, "seed": args.seed, "output": str(args.out), **fields}
+
+
+def _samples(args):
     """Yield (points, preimage or None): one lazily generated sample per size
     with --generator, else the --input file once, with --preimage or else the
-    sibling preimage file when it exists."""
+    sibling preimage file when it exists.  The sizes are embed's --n, default
+    2000, or theorem2's --n-list, default 500 1000 2000; either flag is
+    refused with --input."""
+    if args.command == "embed":
+        flag, sizes, default = "--n", None if args.n is None else [args.n], [2000]
+    else:
+        flag, sizes, default = "--n-list", args.n_list, [500, 1000, 2000]
     if args.generator is not None:
         if args.preimage is not None:
             raise ValueError("--preimage applies only with --input: "
                              "a generated sample carries its own preimage")
-        for n in sizes:
+        for n in default if sizes is None else sizes:
             sample = datasets.generate(args.generator, n, args.seed)
             yield sample.points, sample.preimage
         return
+    if sizes is not None:
+        raise ValueError(f"{flag} applies only with --generator: an --input CSV sets its size")
     X = datasets.load_csv(args.input)
     sibling = datasets.preimage_path(args.input)
     pre_path = args.preimage or (sibling if sibling.exists() else None)
@@ -75,18 +99,14 @@ def _samples(args, sizes):
 
 
 def cmd_embed(args) -> int:
-    if args.input is not None and args.n is not None:
-        raise ValueError("--n applies only with --generator: an --input CSV sets its size")
     if args.input is not None and args.seed is not None:
         raise ValueError("--seed applies only with --generator: an --input CSV draws nothing")
     if args.method == "ldr" and args.delta is not None:
         raise ValueError("--delta applies only with --method classical: "
                          "the rank-d weights take no regularization")
-    sidecar = args.out.with_suffix(".json")
     _refuse_shared_paths(_inputs(args), [
         ("--out", args.out),
-        # save_embedding refuses an --out that is its own sidecar, in its own words.
-        ("the sidecar of --out", None if sidecar == args.out else sidecar),
+        ("the sidecar of --out", embedding.sidecar_path(args.out)),
         ("--dump-neighbors", args.dump_neighbors),
         ("--dump-weights", args.dump_weights),
         ("--dump-spectra", args.dump_spectra),
@@ -96,7 +116,7 @@ def cmd_embed(args) -> int:
         args.seed = 0
     if args.method == "classical" and args.delta is None:
         args.delta = weights.DEFAULT_DELTA
-    X, preimage = next(_samples(args, [2000 if args.n is None else args.n]))
+    X, preimage = next(_samples(args))
     graph = neighbors.knn(X, args.k)
     W, spectra = weights.assemble_weight_matrix(
         X, graph, args.method, d=args.d, delta=args.delta
@@ -109,21 +129,19 @@ def cmd_embed(args) -> int:
         X, emb.Y, weights=W, preimage=preimage
     )
 
-    meta = {
-        "command": "embed",
-        "input": str(args.input) if args.input is not None else None,
-        "generator": args.generator,
-        "n": int(X.shape[0]),
-        "K": args.k,
-        "d": args.d,
-        "method": args.method,
-        "delta": args.delta,
-        "seed": args.seed,
-        "output": str(args.out),
-        "phi": diag.phi_value,
-        "linear_r2": diag.linear_r2,
-        "rank_correlation": diag.rank_correlation,
-    }
+    meta = _config(
+        args,
+        input=str(args.input) if args.input is not None else None,
+        generator=args.generator,
+        n=int(X.shape[0]),
+        K=args.k,
+        d=args.d,
+        method=args.method,
+        delta=args.delta,
+        phi=diag.phi_value,
+        linear_r2=diag.linear_r2,
+        rank_correlation=diag.rank_correlation,
+    )
     if spectra is not None:
         meta["alpha"] = {
             "min": float(spectra.alpha.min()),
@@ -156,13 +174,7 @@ def cmd_perturb(args) -> int:
     reports = diagnostics.perturbation_experiment(
         epsilons=args.epsilons, trials=args.trials, seed=args.seed
     )
-    config = {
-        "command": "perturb",
-        "epsilons": list(args.epsilons),
-        "trials": args.trials,
-        "seed": args.seed,
-        "output": str(args.out),
-    }
+    config = _config(args, epsilons=list(args.epsilons), trials=args.trials)
     payload = {**diagnostics.perturbation_report_dict(reports), "config": config}
     datasets.write_json(payload, args.out)
     if args.csv is not None:
@@ -189,8 +201,6 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_theorem2(args) -> int:
-    if args.input is not None and args.n_list is not None:
-        raise ValueError("--n-list applies only with --generator: an --input CSV sets its size")
     if args.input is not None and args.preimage is None:
         raise ValueError(
             "--input requires --preimage: the objective-value check "
@@ -198,7 +208,7 @@ def cmd_theorem2(args) -> int:
         )
     _refuse_shared_paths(_inputs(args), [("--out", args.out)])
     rows = []
-    for X, Z in _samples(args, args.n_list or (500, 1000, 2000)):
+    for X, Z in _samples(args):
         graph = neighbors.knn(X, args.k)
         W, spectra = weights.assemble_weight_matrix(X, graph, "ldr", d=args.d)
         result = diagnostics.theorem2_check_from_parts(Z, W, spectra)
@@ -213,16 +223,14 @@ def cmd_theorem2(args) -> int:
         bounded = base is not None and all(
             r["ratio"] is not None and r["ratio"] <= 2.0 * base for r in rows
         )
-    config = {
-        "command": "theorem2",
-        "generator": args.generator,
-        "input": str(args.input) if args.input is not None else None,
-        "K": args.k,
-        "d": args.d,
-        "seed": args.seed,
-        "permutations": args.permutations,
-        "output": str(args.out),
-    }
+    config = _config(
+        args,
+        generator=args.generator,
+        input=str(args.input) if args.input is not None else None,
+        K=args.k,
+        d=args.d,
+        permutations=args.permutations,
+    )
     report = {"config": config, "rows": rows, "bounded": bounded}
     datasets.write_json(report, args.out)
     for r in rows:
@@ -318,20 +326,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DisconnectedGraphError as exc:
+    except tuple(kind for kinds, _ in EXIT_CODES for kind in kinds) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    except GeneralPositionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GENERAL_POSITION
-    except (LdrLleError, np.linalg.LinAlgError) as exc:
-        # Before ValueError, which LinAlgError subclasses.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
-        # CsvFormatError is a ValueError; missing files land here too.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 def run() -> None:

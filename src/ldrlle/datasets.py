@@ -9,6 +9,7 @@ pair reproduces bit-identically across runs.
 """
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -55,6 +56,28 @@ def validate_cloud(data) -> np.ndarray:
     return arr
 
 
+def as_columns(a) -> np.ndarray:
+    """a as a float array of coordinate columns, one row per point.
+
+    A 1-D array is one column and a 2-D array is left as it is; any other
+    number of dimensions raises ValueError.  The quality statistics read
+    their inputs through it.
+    """
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"need a 1-D array or a 2-D array of columns, got shape {arr.shape}")
+    return arr[:, None] if arr.ndim == 1 else arr
+
+
+def as_int(value, name: str) -> int:
+    """value as a Python int, through operator.index, so numpy integers pass;
+    anything else, such as 2.0, raises TypeError naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass
 class GeneratedSample:
     """A generated point cloud with its row-aligned ground-truth parameters."""
@@ -90,18 +113,28 @@ def swissroll_map(t, h) -> np.ndarray:
     return np.column_stack([t * np.cos(t), h, t * np.sin(t)])
 
 
+def _sheet(n: int, seed: int, t_of_u, height: float, sheet_map) -> GeneratedSample:
+    """n points of a sheet drawn uniformly in parameter space.
+
+    One (n, 2) uniform draw gives (u, v) on the unit square, t = t_of_u(u) and
+    the height h = height * v; the points are sheet_map(t, h) and the preimage
+    is (t, h).
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    uv = np.random.default_rng(seed).random((n, 2))
+    t = t_of_u(uv[:, 0])
+    h = height * uv[:, 1]
+    return GeneratedSample(sheet_map(t, h), np.column_stack([t, h]))
+
+
 def gen_scurve(n: int, seed: int = 0) -> GeneratedSample:
     """n points drawn uniformly on the S-shaped sheet.
 
     t = 3*pi*(u - 1/2) and the height is 2*v for (u, v) uniform on the unit
     square; the preimage is (t, 2*v), an isometric parameterization.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    uv = np.random.default_rng(seed).random((n, 2))
-    t = 3.0 * np.pi * (uv[:, 0] - 0.5)
-    h = 2.0 * uv[:, 1]
-    return GeneratedSample(scurve_map(t, h), np.column_stack([t, h]))
+    return _sheet(n, seed, lambda u: 3.0 * np.pi * (u - 0.5), 2.0, scurve_map)
 
 
 def gen_swissroll(n: int, seed: int = 0) -> GeneratedSample:
@@ -110,12 +143,7 @@ def gen_swissroll(n: int, seed: int = 0) -> GeneratedSample:
     t = (3*pi/2)*(1 + 2u) and the height is 21*v for (u, v) uniform on the
     unit square; the preimage is (t, 21*v).
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    uv = np.random.default_rng(seed).random((n, 2))
-    t = 1.5 * np.pi * (1.0 + 2.0 * uv[:, 0])
-    h = 21.0 * uv[:, 1]
-    return GeneratedSample(swissroll_map(t, h), np.column_stack([t, h]))
+    return _sheet(n, seed, lambda u: 1.5 * np.pi * (1.0 + 2.0 * u), 21.0, swissroll_map)
 
 
 GENERATORS = {

@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import orthogonal_procrustes
 
+from .datasets import as_columns
 from .embedding import phi
 from .errors import DegenerateWeightsError, UndefinedCorrelationError
 from .weights import _classical, _ldr, _sqnorm, _svd
@@ -68,8 +69,8 @@ def theorem1_bound(lambda_d: float, alpha: float, epsilon: float) -> Optional[fl
     caller's responsibility).  When the precondition fails, None is returned
     and nothing is asserted.
     """
-    if not lambda_d > 0.0:
-        raise ValueError(f"lambda_d must be > 0, got {lambda_d}")
+    if not 0.0 < lambda_d < np.inf:
+        raise ValueError(f"lambda_d must be finite and > 0, got {lambda_d}")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     if not 0.0 < epsilon < np.inf:
@@ -209,8 +210,12 @@ def theorem2_check_from_parts(preimage, W, spectra) -> Theorem2Result:
     boundedness is the check.  The tail counts as vanished when the largest
     discarded singular value is within TAIL_VANISH_REL of the largest
     retained one; an exact-zero test would miss data that is rank d up to
-    rounding.
+    rounding.  Raises ValueError when spectra is None, as assembly returns it
+    for classical weights with d >= K.
     """
+    if spectra is None:
+        raise ValueError("the preimage check needs a rank-d split (1 <= d < K); "
+                         "the weights were assembled without one")
     n = W.shape[0]
     phi_z = phi(preimage, W) / n
     max_tail = float(spectra.singular_values[:, spectra.d].max())
@@ -254,12 +259,10 @@ def linear_r2(X, Y) -> float:
     """Fraction of centered output variance explained by the best affine map X -> Y.
 
     A value near 1 means the embedding is (close to) a linear projection of
-    the input; clipped into [0, 1] against roundoff.
+    the input; clipped into [0, 1] against roundoff.  A 1-D Y is one column.
     """
     X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    Y = as_columns(Y)
     if X.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise ValueError(f"X shape {X.shape} does not match Y shape {Y.shape}")
     # Centring replaces the ones column, whose scale against X's would
@@ -282,14 +285,11 @@ def procrustes_residual(Y, reference) -> float:
 
     Both inputs are centered first; the residual is normalized by the
     reference's Frobenius norm, so 0 means a perfect match up to rigid motion
-    and scale.
+    and scale.  A 1-D input is one column; an input of more than two
+    dimensions raises ValueError.
     """
-    Y = np.asarray(Y, dtype=float)
-    R = np.asarray(reference, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if R.ndim == 1:
-        R = R[:, None]
+    Y = as_columns(Y)
+    R = as_columns(reference)
     if Y.shape != R.shape:
         raise ValueError(f"shapes {Y.shape} and {R.shape} differ")
     Yc = Y - Y.mean(axis=0)
@@ -310,10 +310,15 @@ def monotonicity_1d(Y, preimage) -> float:
     Signed: -1 is as good as +1 (the embedding's orientation is arbitrary).
     It is the Pearson correlation of the average ranks, computed as
     scipy.stats.spearmanr does, and NaN when either input holds a NaN.
-    Raises UndefinedCorrelationError when either input is constant.
+    Each input is a 1-D array or one column; any other shape raises
+    ValueError.  Raises UndefinedCorrelationError when either input is
+    constant.
     """
-    y = np.asarray(Y, dtype=float).ravel()
-    z = np.asarray(preimage, dtype=float).ravel()
+    y = as_columns(Y)
+    z = as_columns(preimage)
+    if y.shape[1] != 1 or z.shape[1] != 1:
+        raise ValueError(f"need one column each, got shapes {y.shape} and {z.shape}")
+    y, z = y[:, 0], z[:, 0]
     if y.shape != z.shape:
         raise ValueError(f"lengths {y.size} and {z.size} differ")
     if np.ptp(y) == 0.0 or np.ptp(z) == 0.0:
@@ -348,11 +353,6 @@ def linear_projection_diagnostic(X, Y, reference=None, weights=None,
     pres = procrustes_residual(Y, reference) if reference is not None else None
     phi_v = phi(Y, weights) if weights is not None else None
     rc = None
-    if preimage is not None:
-        Ymat = np.asarray(Y, dtype=float)
-        Z = np.asarray(preimage, dtype=float)
-        y_cols = 1 if Ymat.ndim == 1 else Ymat.shape[1]
-        z_cols = 1 if Z.ndim == 1 else Z.shape[1]
-        if y_cols == 1 and z_cols == 1:
-            rc = monotonicity_1d(Ymat, Z)
+    if preimage is not None and as_columns(Y).shape[1] == as_columns(preimage).shape[1] == 1:
+        rc = monotonicity_1d(Y, preimage)
     return EmbeddingDiagnostics(phi_v, r2, pres, rc)

@@ -19,7 +19,7 @@ import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg
 
-from .datasets import validate_cloud, write_json, write_rows
+from .datasets import as_columns, as_int, validate_cloud, write_json, write_rows
 from .errors import DisconnectedGraphError, EigenSolverError
 
 __all__ = [
@@ -122,6 +122,8 @@ def embed(W, d: int) -> Embedding:
 
     Raises
     ------
+    TypeError
+        when d is not an integer (2.0), before anything else.
     DisconnectedGraphError
         when W has more than one closed class: a strongly connected
         component of its nonzero pattern that no weight leaves.  Each closed
@@ -132,6 +134,7 @@ def embed(W, d: int) -> Embedding:
         mode's eigenvalue is not near zero (or not finite, as when W holds a
         NaN or inf weight).
     """
+    d = as_int(d, "d")
     W = sparse.csr_matrix(W)
     n = W.shape[0]
     if W.shape[1] != n:
@@ -195,15 +198,26 @@ def phi(Y, W) -> float:
     """Output reconstruction error ||(I - W) Y||_F^2.
 
     Accepts any column count, so it applies to embeddings and to ground-truth
-    preimages alike.
+    preimages alike; a 1-D Y is one column, and a Y of more dimensions raises
+    ValueError.
     """
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if Y.ndim != 2 or Y.shape[0] != W.shape[0]:
+    Y = as_columns(Y)
+    if Y.shape[0] != W.shape[0]:
         raise ValueError(f"Y shape {Y.shape} does not match W shape {W.shape}")
     R = Y - W @ Y
     return float((R * R).sum())
+
+
+def sidecar_path(path) -> Path:
+    """The JSON sidecar written beside an embedding file: path with suffix ".json".
+
+    A path that already ends in ".json" is its own sidecar path and raises
+    ValueError.
+    """
+    sidecar = Path(path).with_suffix(".json")
+    if sidecar == Path(path):
+        raise ValueError(f"embedding path {path} is its own sidecar path; use another suffix")
+    return sidecar
 
 
 def save_embedding(emb: Embedding, path, metadata: dict | None = None) -> None:
@@ -219,12 +233,8 @@ def save_embedding(emb: Embedding, path, metadata: dict | None = None) -> None:
     sidecar = {
         "eigenvalues": [float(v) for v in emb.eigenvalues],
         "dropped_eigenvalue": float(emb.dropped_eigenvalue),
+        **(metadata or {}),
     }
-    if metadata:
-        sidecar.update(metadata)
-    sidecar_path = Path(path).with_suffix(".json")
-    if sidecar_path == Path(path):
-        raise ValueError(f"embedding path {path} is its own sidecar path; use another suffix")
     Y = validate_cloud(emb.Y)
-    write_json(sidecar, sidecar_path)
+    write_json(sidecar, sidecar_path(path))
     write_rows(Y.tolist(), path)

@@ -4,7 +4,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .datasets import validate_cloud, write_rows
+from .datasets import as_int, validate_cloud, write_rows
 
 __all__ = [
     "knn",
@@ -29,10 +29,10 @@ def knn(cloud, K: int) -> np.ndarray:
     """Exact K-nearest-neighbor graph as an (N, K) index array.
 
     Row i holds the K nearest neighbors of point i (self excluded) by
-    increasing Euclidean distance.  Requires 1 <= K < N.  Distances are
-    squared Euclidean (same ordering as Euclidean, cheaper); ties are
-    resolved toward the smaller index, so the result is permutation-checkable
-    and deterministic.
+    increasing Euclidean distance.  Requires an integer 1 <= K < N; a K such
+    as 2.0 raises TypeError.  Distances are squared Euclidean (same ordering
+    as Euclidean, cheaper); ties are resolved toward the smaller index, so
+    the result is permutation-checkable and deterministic.
 
     A KD-tree proposes k = min(K + 2, N) candidates per point.  Each
     candidate's squared distance is re-scored one coordinate at a time, which
@@ -52,6 +52,7 @@ def knn(cloud, K: int) -> np.ndarray:
     the full row of distances and a stable argsort; a cloud with N <= K + 2
     has none.
     """
+    K = as_int(K, "K")
     X = validate_cloud(cloud)
     n = X.shape[0]
     if K < 1:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from .datasets import validate_cloud, write_rows
+from .datasets import as_int, validate_cloud, write_rows
 from .errors import DegenerateWeightsError, GeneralPositionError, SingularNeighborhoodError
 from .neighbors import check_extent
 
@@ -279,13 +279,15 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     neighborhood feeds both the weights and the spectra, which are computed
     for every point regardless of method, so callers can report alpha,
     singular values, radii, and gap warnings; for classical with d >= K no
-    rank split exists and the spectra are None.
+    rank split exists and the spectra are None.  A d that is not an integer
+    (2.0) raises TypeError.
 
     Returns (W, spectra) with W in CSR format, row i carrying point i's
     weights on its neighbor columns, and spectra a Spectra record.  A
     neighborhood failure is raised for the first failing point, with its
     index attached.
     """
+    d = as_int(d, "d")
     X = validate_cloud(cloud)
     if method not in ("classical", "ldr"):
         raise ValueError(f"unknown method {method!r}; expected 'classical' or 'ldr'")

@@ -11,7 +11,18 @@ import pytest
 from scipy.linalg import subspace_angles
 
 import ldrlle
-from ldrlle import cli, diagnostics, load_csv, preimage_path, save_csv, save_sample
+from ldrlle import (
+    CsvFormatError,
+    DisconnectedGraphError,
+    EigenSolverError,
+    GeneralPositionError,
+    cli,
+    diagnostics,
+    load_csv,
+    preimage_path,
+    save_csv,
+    save_sample,
+)
 from ldrlle import assemble_weight_matrix, knn
 from ldrlle.datasets import gen_swissroll
 
@@ -295,6 +306,19 @@ class TestEmbed:
             "embed", "--generator", "ring", "--n", "16", "--k", "4", "--d", "1",
             "--out", str(tmp_path / "y.json"), "--dump-weights", str(tmp_path / "w.csv"),
         )
+        assert rc == 2
+        assert "its own sidecar path" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_output_is_refused_before_any_input_is_read(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refusing_knn(*args):
+            raise AssertionError("knn ran")
+
+        monkeypatch.setattr("ldrlle.neighbors.knn", refusing_knn)
+        rc = run("embed", "--generator", "swissroll", "--n", "300", "--out",
+                 str(tmp_path / "x.json"))
         assert rc == 2
         assert "its own sidecar path" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -721,6 +745,26 @@ class TestTopLevel:
         assert len(json.loads((tmp_path / "r.json").read_text())["reports"]) == 3
         assert entry("embed", "--out", "y.csv") == 2
         assert not (tmp_path / "y.csv").exists()
+
+    @pytest.mark.parametrize("exc, code", [
+        (DisconnectedGraphError("split", n_components=2), 3),
+        (GeneralPositionError("crowded", alpha=1.0), 4),
+        (EigenSolverError("stalled"), 5),
+        (np.linalg.LinAlgError("no convergence"), 5),
+        (CsvFormatError("ragged", row=2), 2),
+        (FileNotFoundError("missing.csv"), 2),
+        (ValueError("bad flag"), 2),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+    def test_each_failure_kind_has_its_exit_code(self, exc, code, tmp_path, monkeypatch,
+                                                 capsys):
+        # LinAlgError and CsvFormatError are both ValueErrors, so the order of
+        # the table decides their codes.
+        def failing_command(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_perturb", failing_command)
+        assert run("perturb", "--out", str(tmp_path / "r.json")) == code
+        assert capsys.readouterr().err == f"error: {exc}\n"
 
     def test_every_svd_is_thin(self, tmp_path, monkeypatch):
         calls = []

@@ -24,7 +24,7 @@ from ldrlle import (
     swissroll_map,
     validate_cloud,
 )
-from ldrlle.datasets import write_rows
+from ldrlle.datasets import as_columns, write_rows
 
 
 class TestValidateCloud:
@@ -147,6 +147,36 @@ class TestSwissroll:
     def test_height_column_passthrough(self):
         sample = gen_swissroll(64, seed=8)
         np.testing.assert_array_equal(sample.points[:, 1], sample.preimage[:, 1])
+
+
+class TestSheetSampler:
+    @pytest.mark.parametrize("gen, t_of_u, height", [
+        (gen_scurve, lambda u: 3.0 * np.pi * (u - 0.5), 2.0),
+        (gen_swissroll, lambda u: 1.5 * np.pi * (1.0 + 2.0 * u), 21.0),
+    ], ids=["scurve", "swissroll"])
+    def test_preimage_is_one_uniform_draw_mapped(self, gen, t_of_u, height):
+        # Both sheets read their parameters off one (n, 2) draw, column 0
+        # for t and column 1 for the height, bit for bit.
+        uv = np.random.default_rng(7).random((33, 2))
+        expected = np.column_stack([t_of_u(uv[:, 0]), height * uv[:, 1]])
+        np.testing.assert_array_equal(gen(33, seed=7).preimage, expected)
+
+
+class TestAsColumns:
+    def test_a_vector_is_one_column(self):
+        got = as_columns([1, 2, 3])
+        assert got.dtype == float
+        np.testing.assert_array_equal(got, [[1.0], [2.0], [3.0]])
+
+    def test_a_matrix_is_left_as_it_is(self):
+        a = np.arange(6.0).reshape(3, 2)
+        np.testing.assert_array_equal(as_columns(a), a)
+        assert as_columns(a.T).shape == (2, 3)
+
+    @pytest.mark.parametrize("shape", [(), (3, 2, 1)])
+    def test_other_dimensions_are_refused(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            as_columns(np.zeros(shape))
 
 
 class TestGenerateDispatch:

@@ -82,6 +82,10 @@ class TestStabilityBound:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             theorem1_bound(0.0, 0.5, 1e-4)
+        # An infinite lambda_d would give a bound of 0, which every
+        # displacement violates.
+        with pytest.raises(ValueError, match="lambda_d must be finite"):
+            theorem1_bound(np.inf, 0.0, 1e-3)
         with pytest.raises(ValueError):
             theorem1_bound(0.5, 1.0, 1e-4)
         with pytest.raises(ValueError):
@@ -269,6 +273,21 @@ class TestObjectiveValueCheck:
         assert result.ratio == np.inf
         assert 0.0 < result.phi_z_over_n < np.inf
 
+    def test_weights_without_a_rank_split_are_refused_before_phi(self, monkeypatch):
+        # Classical weights assembled with d >= K carry no spectra.
+        sample = gen_swissroll(300, seed=0)
+        W, spectra = assemble_weight_matrix(
+            sample.points, knn(sample.points, 12), "classical", d=12
+        )
+        assert spectra is None
+
+        def refusing_phi(*args):
+            raise AssertionError("phi ran")
+
+        monkeypatch.setattr("ldrlle.diagnostics.phi", refusing_phi)
+        with pytest.raises(ValueError, match="rank-d split"):
+            theorem2_check_from_parts(sample.preimage, W, None)
+
     def test_permuted_null_deterministic(self):
         sample = gen_open_ring(32)
         graph = knn(sample.points, 4)
@@ -313,6 +332,12 @@ class TestLinearR2:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
             linear_r2(rng.normal(size=(10, 2)), rng.normal(size=(11, 2)))
+
+    def test_three_dimensional_output_is_refused(self, rng):
+        # Not a linear-algebra failure: a shape the statistic does not take.
+        with pytest.raises(ValueError, match="shape") as excinfo:
+            linear_r2(rng.normal(size=(20, 2)), rng.normal(size=(20, 2, 1)))
+        assert not isinstance(excinfo.value, np.linalg.LinAlgError)
 
     @given(
         k=st.integers(-500, 500),
@@ -362,6 +387,10 @@ class TestProcrustesResidual:
         with pytest.raises(ValueError):
             procrustes_residual(rng.normal(size=(10, 2)), rng.normal(size=(10, 3)))
 
+    def test_three_dimensional_inputs_are_refused(self, rng):
+        with pytest.raises(ValueError, match="shape"):
+            procrustes_residual(rng.normal(size=(20, 2, 1)), rng.normal(size=(20, 2, 1)))
+
 
 class TestMonotonicity:
     def test_identical_order(self):
@@ -401,6 +430,17 @@ class TestMonotonicity:
 
     def test_nan_input_gives_nan(self):
         assert np.isnan(monotonicity_1d(np.array([0.0, np.nan, 2.0]), np.arange(3.0)))
+
+    def test_one_column_inputs(self):
+        z = np.linspace(0.0, 1.0, 16)
+        assert monotonicity_1d(-z[:, None], z[:, None]) == -1.0
+
+    @pytest.mark.parametrize("shape", [(20, 2), (1, 20)], ids=["two-columns", "one-row"])
+    def test_inputs_of_more_than_one_column_are_refused(self, shape):
+        # Raveling them would rank unrelated coordinates against each other.
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="one column"):
+            monotonicity_1d(rng.random(shape), rng.random(shape))
 
 
 class TestDiagnosticBundle:

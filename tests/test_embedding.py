@@ -123,6 +123,10 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi(np.zeros(4), chain3_weights())
 
+    def test_three_dimensional_input_is_refused(self):
+        with pytest.raises(ValueError, match="shape"):
+            phi(np.zeros((3, 2, 1)), chain3_weights())
+
 
 class TestEmbed:
     def test_cycle_recovers_sine_cosine_plane(self):
@@ -431,3 +435,27 @@ class TestSaveEmbedding:
         save_embedding(emb, path)
         text = (tmp_path / "emb.json").read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+SIZE_ARGUMENTS = [
+    pytest.param(lambda X, W, graph, size: knn(X, size), "K", id="knn-K"),
+    pytest.param(lambda X, W, graph, size: assemble_weight_matrix(X, graph, "ldr", d=size),
+                 "d", id="assemble-d"),
+    pytest.param(lambda X, W, graph, size: embed(W, size), "d", id="embed-d"),
+]
+
+
+@pytest.mark.parametrize("call, name", SIZE_ARGUMENTS)
+def test_a_size_that_is_not_an_integer_is_refused_at_entry(call, name, monkeypatch):
+    X = gen_swissroll(60, seed=1).points
+    graph = knn(X, 8)
+    W, _ = assemble_weight_matrix(X, graph, "ldr", d=2)
+    assert call(X, W, graph, np.int64(2)) is not None
+
+    def refusing_eigsh(*args, **kwargs):
+        raise AssertionError("eigensolver ran")
+
+    # embed refuses before its eigensolver runs.
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refusing_eigsh)
+    with pytest.raises(TypeError, match=f"{name} must be an integer"):
+        call(X, W, graph, 2.0)
