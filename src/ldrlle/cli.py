@@ -183,17 +183,15 @@ def cmd_perturb(args) -> int:
             enumerate(np.column_stack([r.distances_classical, r.distances_ldr]).tolist())
         ], args.csv)
 
-    total_violations = 0
     for row in payload["reports"]:
         bound = "n/a" if row["bound"] is None else f"{row['bound']:.3e}"
+        violations = "n/a" if row["violations"] is None else row["violations"]
         print(
             f"epsilon {row['epsilon']:g}: median classical "
             f"{row['classical']['median']:.3e}, median rank-d "
-            f"{row['ldr']['median']:.3e}, bound {bound}, "
-            f"violations {row['violations']}"
+            f"{row['ldr']['median']:.3e}, bound {bound}, violations {violations}"
         )
-        if row["violations"]:
-            total_violations += row["violations"]
+    total_violations = sum(row["violations"] or 0 for row in payload["reports"])
     if total_violations:
         print(f"error: {total_violations} bound violations", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -265,6 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The source, graph and output flags embed and theorem2 share.
+    pipeline = argparse.ArgumentParser(add_help=False)
+    src = pipeline.add_mutually_exclusive_group(required=True)
+    src.add_argument("--input", type=Path, help="points CSV (headerless)")
+    src.add_argument("--generator", choices=sorted(datasets.GENERATORS))
+    pipeline.add_argument("--preimage", type=Path,
+                          help="ground-truth parameter CSV (for embed, auto-discovered next "
+                               "to --input when present; theorem2 needs it with --input)")
+    pipeline.add_argument("--k", type=int, default=12, help="neighbors per point (default 12)")
+    pipeline.add_argument("--d", type=int, default=2, help="output dimension (default 2)")
+    pipeline.add_argument("--out", type=Path, required=True)
+
     p = sub.add_parser("generate", help="write a synthetic sample (+ preimage sidecar)")
     p.add_argument("name", choices=sorted(datasets.GENERATORS))
     p.add_argument("--n", type=int, default=2000, help="sample size (default 2000)")
@@ -272,23 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="default <name>.csv")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("embed", help="embed a sample and write Y + JSON sidecar")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", type=Path, help="points CSV (headerless)")
-    src.add_argument("--generator", choices=sorted(datasets.GENERATORS))
+    p = sub.add_parser("embed", parents=[pipeline],
+                       help="embed a sample and write Y + JSON sidecar")
     p.add_argument("--n", type=int, help="sample size with --generator (default 2000)")
-    p.add_argument("--k", type=int, default=12, help="neighbors per point (default 12)")
-    p.add_argument("--d", type=int, default=2, help="output dimension (default 2)")
     p.add_argument("--method", choices=("classical", "ldr"), default="ldr")
     p.add_argument("--delta", type=float,
                    help="classical regularization scale (default 1e-9; "
                         "refused with --method ldr)")
     p.add_argument("--seed", type=int,
                    help="sample seed with --generator (default 0; refused with --input)")
-    p.add_argument("--preimage", type=Path,
-                   help="ground-truth parameter CSV for quality statistics "
-                        "(auto-discovered next to --input when present)")
-    p.add_argument("--out", type=Path, required=True)
     p.add_argument("--dump-neighbors", type=Path, help="also write the neighbor lists")
     p.add_argument("--dump-weights", type=Path, help="also write W as i,j,value text")
     p.add_argument("--dump-spectra", type=Path, help="also write per-point spectra")
@@ -303,19 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=Path, help="also dump raw per-trial distances")
     p.set_defaults(func=cmd_perturb)
 
-    p = sub.add_parser("theorem2",
+    p = sub.add_parser("theorem2", parents=[pipeline],
                        help="preimage objective-value scaling check")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--generator", choices=sorted(datasets.GENERATORS))
-    src.add_argument("--input", type=Path, help="points CSV (needs --preimage)")
-    p.add_argument("--preimage", type=Path, help="ground-truth parameter CSV")
     p.add_argument("--n-list", type=int, nargs="+", dest="n_list",
                    help="sample sizes with --generator (default 500 1000 2000)")
-    p.add_argument("--k", type=int, default=12)
-    p.add_argument("--d", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--permutations", type=int, default=20)
-    p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_theorem2)
 
     return parser

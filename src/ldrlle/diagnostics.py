@@ -15,7 +15,7 @@ from scipy.linalg import orthogonal_procrustes
 
 from .datasets import as_columns
 from .embedding import phi
-from .errors import DegenerateWeightsError, UndefinedCorrelationError
+from .errors import UndefinedCorrelationError
 from .weights import _classical, _ldr, _sqnorm, _svd
 
 __all__ = [
@@ -126,9 +126,11 @@ def perturbation_experiment(epsilons=DEFAULT_EPSILONS, trials: int = DEFAULT_TRI
     4, 4)), taken before the epsilon loop: trial t is the same direction at
     every epsilon, a report depends only on (seed, trials, epsilon), and a run
     with fewer trials is a prefix of one with more.  A trial whose classical
-    weights sum to zero raises DegenerateWeightsError naming its epsilon and
-    trial, with the trial as point_index.  An epsilon that is not finite and
-    positive raises theorem1_bound's ValueError before its SVD.
+    weights sum to zero raises DegenerateWeightsError, and one whose projected
+    neighborhood leaves general position GeneralPositionError; either message
+    starts "epsilon e, trial t: ", with the trial as point_index.  An epsilon
+    that is not finite and positive raises theorem1_bound's ValueError before
+    its SVD.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -140,12 +142,9 @@ def perturbation_experiment(epsilons=DEFAULT_EPSILONS, trials: int = DEFAULT_TRI
     for eps in epsilons:
         bound = theorem1_bound(CROSS_LAMBDA1, 0.0, eps)
         U, lam, _ = _svd(base + eps * noise)
-        try:
-            w_cl = _classical(U, lam, 0.0, pinv_singular=True)
-        except DegenerateWeightsError as exc:
-            exc.args = (f"epsilon {eps:g}, trial {exc.point_index}: {exc.args[0]}",)
-            raise
-        w_ldr = _ldr(U, 2)
+        label = f"epsilon {eps:g}, trial {{}}"
+        w_cl = _classical(U, lam, 0.0, label, pinv_singular=True)
+        w_ldr = _ldr(U, 2, label)
         reports.append(PerturbationReport(
             float(eps), np.sqrt(_sqnorm(w_cl - uniform)),
             np.sqrt(_sqnorm(w_ldr - uniform)), bound,
@@ -234,14 +233,15 @@ def permuted_preimage_null(W, preimage, permutations: int = 20, seed: int = 0) -
     """Median phi(Z_perm)/N over random row permutations of the preimage.
 
     Null scale for the objective when weights and parameters are unrelated;
-    a real preimage should sit far below it.
+    a real preimage should sit far below it.  A preimage whose row count
+    differs from W's raises phi's ValueError.
     """
     if permutations < 1:
         raise ValueError(f"permutations must be >= 1, got {permutations}")
     Z = np.asarray(preimage, dtype=float)
     rng = np.random.default_rng(seed)
     n = W.shape[0]
-    vals = [phi(Z[rng.permutation(n)], W) / n for _ in range(permutations)]
+    vals = [phi(Z[rng.permutation(Z.shape[0])], W) / n for _ in range(permutations)]
     return float(np.median(vals))
 
 

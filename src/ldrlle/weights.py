@@ -29,7 +29,10 @@ A neighborhood is a plain (K, D) array of centered rows eta_j - x_i.  Every
 solve is written once, as a kernel over a stack of such neighborhoods of
 shape (N, K, D); the public solvers take one neighborhood or a stack, and a
 single neighborhood runs as a stack of one.  A kernel raises the typed error
-of its first failing row, with the row as point_index.
+of its first failing row i, named by the kernel's label, a format string: the
+message starts with label.format(i) + ": " and point_index is i.  The public
+solvers pass "point {}" for a stack, as assembly does, and None for one
+neighborhood, whose error then has no prefix and point_index None.
 """
 
 from dataclasses import dataclass
@@ -66,10 +69,6 @@ GENERAL_POSITION_TOL = 1e-12
 # Relative spectral-gap floor below which the rank-d split is flagged.
 GAP_WARN_REL = 1e-6
 
-# The errors of a single neighborhood, which assembly re-raises naming the point.
-_ROW_ERRORS = (SingularNeighborhoodError, DegenerateWeightsError, GeneralPositionError)
-
-
 @dataclass
 class Spectra:
     """Rank-d splits of all neighborhoods of a cloud; row i belongs to point i.
@@ -94,9 +93,10 @@ class Spectra:
 
 
 def _per_row(kernel, rows):
-    """kernel(U, lam) on the stacked SVD of an (N, K, D) stack, or of one (K, D)
-    neighborhood run as a stack of one, whose errors then name no point.  An
-    empty or non-finite neighborhood is refused before the SVD."""
+    """kernel(U, lam, label) on the stacked SVD of an (N, K, D) stack, with
+    label "point {}", or of one (K, D) neighborhood run as a stack of one, with
+    label None, so its errors name no point.  An empty or non-finite
+    neighborhood is refused before the SVD."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim not in (2, 3):
         raise ValueError(f"need one (K, D) neighborhood or an (N, K, D) stack, got {rows.shape}")
@@ -109,12 +109,17 @@ def _per_row(kernel, rows):
         raise ValueError(f"neighborhood{row} contains non-finite entries")
     U, lam, _ = _svd(stack)
     if rows.ndim == 3:
-        return kernel(U, lam)
-    try:
-        return kernel(U, lam)[0]
-    except _ROW_ERRORS as exc:
-        exc.point_index = None
-        raise
+        return kernel(U, lam, "point {}")
+    return kernel(U, lam, None)[0]
+
+
+def _row_error(kind, label, i: int, message: str, **fields):
+    """The kind of error for row i of a stack, its message prefixed with
+    label.format(i) and its point_index i; with label None, for a single
+    neighborhood, the bare message and point_index None."""
+    if label is None:
+        return kind(message, **fields)
+    return kind(f"{label.format(i)}: {message}", point_index=i, **fields)
 
 
 def _sqnorm(v: np.ndarray) -> np.ndarray:
@@ -159,11 +164,13 @@ def _filtered(U: np.ndarray, f: np.ndarray):
     return w, (g[:, None, :] @ c[:, :, None])[:, 0, 0] + K * tail
 
 
-def _ldr(U: np.ndarray, d: int) -> np.ndarray:
+def _ldr(U: np.ndarray, d: int, label) -> np.ndarray:
     """Stacked w = U2 U2' 1 / (1' U2 U2' 1), the filter [j >= d].
 
     U2 spans the discarded directions, so U2 U2' 1 = 1 - U1 (U1' 1): on the
-    thin basis, w = (1 - U1 c1) / (K - ||c1||^2) when m < K."""
+    thin basis, w = (1 - U1 c1) / (K - ||c1||^2) when m < K.  A row out of
+    general position raises GeneralPositionError named by label (see
+    _row_error)."""
     K = U.shape[1]
     if not 1 <= d < K:
         raise ValueError(f"need 1 <= d < K = {K}, got d = {d}")
@@ -172,22 +179,25 @@ def _ldr(U: np.ndarray, d: int) -> np.ndarray:
     if bad.any():
         i = int(np.argmax(bad))
         alpha = 1.0 - float(total[i]) / K
-        raise GeneralPositionError(
+        raise _row_error(
+            GeneralPositionError, label, i,
             f"projected neighborhood is not in general position "
             f"(1'U2U2'1 = {total[i]:.3e}, alpha = {alpha:.6f})",
-            alpha=alpha, point_index=i,
+            alpha=alpha,
         )
     return w / total[:, None]
 
 
-def _classical(U: np.ndarray, lam: np.ndarray, delta: float,
+def _classical(U: np.ndarray, lam: np.ndarray, delta: float, label,
                pinv_singular: bool = False) -> np.ndarray:
     """Stacked classical weights: (G + delta_eff I)^-1 1, normalized.
 
     With delta = 0, a row whose Gram matrix is singular to working precision
     is refused.  pinv_singular (passed with delta = 0) instead gives every row
     the pseudo-inverse solution G^+ 1, which drops the directions with
-    lambda_j <= K eps lambda_1 and equals G^-1 1 where G is nonsingular.
+    lambda_j <= K eps lambda_1 and equals G^-1 1 where G is nonsingular.  A
+    singular row, or one whose weights sum to zero, raises its error named by
+    label (see _row_error).
     """
     if not 0.0 <= delta < np.inf:
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
@@ -203,10 +213,11 @@ def _classical(U: np.ndarray, lam: np.ndarray, delta: float,
         singular = (delta == 0.0) & (rcond < RCOND_MIN)
         if singular.any():
             i = int(np.argmax(singular))
-            raise SingularNeighborhoodError(
+            raise _row_error(
+                SingularNeighborhoodError, label, i,
                 f"Gram matrix is singular to working precision (rcond = {rcond[i]:.2e}); "
                 "pass delta > 0 or use the rank-d method",
-                rcond=float(rcond[i]), point_index=i,
+                rcond=float(rcond[i]),
             )
         ridge = r * r + (delta / K) * _sqnorm(r)[:, None]
         # With all neighbors on the center only the ridge objective remains;
@@ -215,9 +226,8 @@ def _classical(U: np.ndarray, lam: np.ndarray, delta: float,
     w, total = _filtered(U, f)
     bad = total <= 1e-14 * np.abs(w).sum(axis=1)
     if bad.any():
-        raise DegenerateWeightsError(
-            "weight vector sums to zero; normalization undefined", point_index=int(np.argmax(bad))
-        )
+        raise _row_error(DegenerateWeightsError, label, int(np.argmax(bad)),
+                         "weight vector sums to zero; normalization undefined")
     return w / total[:, None]
 
 
@@ -231,9 +241,10 @@ def lle_weights(rows, delta: float) -> np.ndarray:
     With delta = 0 the Gram matrix must be nonsingular to working precision
     (reciprocal condition number (lambda_K / lambda_1)^2 above 1e-12), which
     fails whenever K > D.  rows is one (K, D) neighborhood, giving (K,)
-    weights, or an (N, K, D) stack, giving (N, K).
+    weights, or an (N, K, D) stack, giving (N, K); the error of a stack's
+    failing row i starts "point i: ", as assembly's does.
     """
-    return _per_row(lambda U, lam: _classical(U, lam, delta), rows)
+    return _per_row(lambda U, lam, label: _classical(U, lam, delta, label), rows)
 
 
 def lle_weights_pinv(rows) -> np.ndarray:
@@ -248,7 +259,7 @@ def lle_weights_pinv(rows) -> np.ndarray:
     cross, whose kept directions are orthogonal to the ones vector.  Takes
     one neighborhood or a stack, as lle_weights does.
     """
-    return _per_row(lambda U, lam: _classical(U, lam, 0.0, True), rows)
+    return _per_row(lambda U, lam, label: _classical(U, lam, 0.0, label, True), rows)
 
 
 def ldr_weights(rows, d: int) -> np.ndarray:
@@ -266,7 +277,7 @@ def ldr_weights(rows, d: int) -> np.ndarray:
     the weights equal those at d = m bit for bit.  Takes one neighborhood or
     a stack, as lle_weights does.
     """
-    return _per_row(lambda U, lam: _ldr(U, d), rows)
+    return _per_row(lambda U, lam, label: _ldr(U, d, label), rows)
 
 
 def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
@@ -315,11 +326,7 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
             (lam[:, d - 1] - lam[:, d]) / np.where(top > 0.0, top, 1.0) < GAP_WARN_REL
         )
         spectra = Spectra(lam, _sqnorm(np.ones(K) @ U[:, :, :d]) / K, radius, gap, d)
-    try:
-        data = _ldr(U, d) if method == "ldr" else _classical(U, lam, delta)
-    except _ROW_ERRORS as exc:
-        exc.args = (f"point {exc.point_index}: {exc.args[0]}",)
-        raise
+    data = _ldr(U, d, "point {}") if method == "ldr" else _classical(U, lam, delta, "point {}")
     indptr = np.arange(0, n * K + 1, K)
     W = sparse.csr_matrix((data.ravel(), graph.ravel().copy(), indptr), shape=(n, n))
     return W, spectra

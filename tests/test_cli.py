@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -531,6 +532,15 @@ class TestPerturb:
         payload = json.loads(out.read_text())
         assert [row["violations"] for row in payload["reports"]] == [3, 3]
 
+    def test_summary_says_n_a_where_the_bound_does_not_apply(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        rc = run("perturb", "--epsilons", "0.5", "1e-2", "--trials", "20", "--out", str(out))
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(", bound n/a, violations n/a")
+        assert lines[1].endswith(", violations 0")
+        assert [row["violations"] for row in json.loads(out.read_text())["reports"]] == [None, 0]
+
     def test_invalid_epsilon(self, tmp_path):
         rc = run("perturb", "--epsilons", "-1.0", "--trials", "3",
                  "--out", str(tmp_path / "r.json"))
@@ -727,6 +737,20 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as excinfo:
             run("frobnicate")
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["embed", "theorem2"])
+    def test_pipeline_commands_list_the_shared_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run(command, "--help")
+        assert excinfo.value.code == 0
+        text = capsys.readouterr().out
+        for flag in ("--input", "--generator", "--preimage", "--k", "--d", "--out"):
+            assert re.search(rf"^ +{flag}\b", text, re.MULTILINE), flag
+
+    def test_embed_help_says_the_preimage_is_found_beside_the_input(self, capsys):
+        with pytest.raises(SystemExit):
+            run("embed", "--help")
+        assert "auto-discovered next to --input" in " ".join(capsys.readouterr().out.split())
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # Nothing in the package needs it, and loading it doubles the import time.

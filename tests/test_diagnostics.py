@@ -298,6 +298,16 @@ class TestObjectiveValueCheck:
         with pytest.raises(ValueError):
             permuted_preimage_null(W, sample.preimage, permutations=0)
 
+    @pytest.mark.parametrize("rows", [74, 50])
+    def test_permuted_null_refuses_a_preimage_of_another_length(self, rows):
+        # A 74-row preimage must not be scored on random 64-row subsets, nor a
+        # 50-row one fail with a bare IndexError.
+        sample = gen_open_ring(64)
+        W, _ = assemble_weight_matrix(sample.points, knn(sample.points, 4), "ldr", d=1)
+        preimage = np.resize(sample.preimage, (rows, sample.preimage.shape[1]))
+        with pytest.raises(ValueError, match="does not match W shape"):
+            permuted_preimage_null(W, preimage, permutations=5)
+
 
 class TestLinearR2:
     def test_exact_affine_map_scores_one(self, rng):

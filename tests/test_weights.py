@@ -700,6 +700,7 @@ def test_assembly_agrees_with_per_point_solves(method, delta, cloud):
     with pytest.raises(type(single)) as stacked:
         solve(rows)
     assert stacked.value.point_index == i
+    assert str(stacked.value) == str(excinfo.value)
     for attr in ("alpha", "rcond"):
         assert getattr(excinfo.value, attr, None) == getattr(single, attr, None)
         assert getattr(stacked.value, attr, None) == getattr(single, attr, None)
