@@ -2,7 +2,11 @@
 or rank-d neighborhood-representation weights, plus the verification
 experiments built around the method: weight-stability bounds under
 perturbation, preimage objective-value scaling, and embedding-quality
-statistics against ground truth."""
+statistics against ground truth.
+
+The package's modules import only numpy and the standard library at module
+level; each scipy module is imported inside the function that uses it, so the
+perturbation study and the generators run without loading scipy."""
 
 from . import datasets, diagnostics, embedding, errors, neighbors, weights
 from .datasets import *

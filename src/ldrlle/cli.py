@@ -35,21 +35,28 @@ EXIT_CODES = (
 
 
 def cmd_generate(args) -> int:
-    sample = datasets.generate(args.name, args.n, args.seed)
     out = args.out if args.out is not None else Path(f"{args.name}.csv")
+    preimage = datasets.preimage_path(out)
+    _refuse_shared_paths([], [("--out", out), ("the preimage beside --out", preimage)])
+    sample = datasets.generate(args.name, args.n, args.seed)
     datasets.save_sample(sample, out)
     n, D = sample.points.shape
-    print(f"wrote {out} ({n} x {D}) and {datasets.preimage_path(out)}")
+    print(f"wrote {out} ({n} x {D}) and {preimage}")
     return 0
 
 
 def _refuse_shared_paths(inputs, outputs) -> None:
-    """Raise ValueError, naming both flags, for an output that names an input
-    or another output.  Both are (flag, path or None) pairs; paths compare
+    """Raise ValueError, naming the flag, for an output that is an existing
+    directory, and, naming both flags, for an output that names an input or
+    another output.  Both are (flag, path or None) pairs; paths compare
     resolved.  Commands call it before they read or write anything."""
     seen = {path.resolve(): flag for flag, path in inputs if path is not None}
     for flag, path in outputs:
-        if path is not None and seen.setdefault(path.resolve(), flag) != flag:
+        if path is None:
+            continue
+        if path.is_dir():
+            raise ValueError(f"{flag} {path} is a directory; an output must name a file")
+        if seen.setdefault(path.resolve(), flag) != flag:
             raise ValueError(f"{flag} {path} is the same file as {seen[path.resolve()]}; "
                              "an output may not overwrite an input or another output")
 

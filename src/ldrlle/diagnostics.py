@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import orthogonal_procrustes
 
 from .datasets import as_columns
 from .embedding import phi
@@ -288,6 +287,8 @@ def procrustes_residual(Y, reference) -> float:
     and scale.  A 1-D input is one column; an input of more than two
     dimensions raises ValueError.
     """
+    from scipy.linalg import orthogonal_procrustes
+
     Y = as_columns(Y)
     R = as_columns(reference)
     if Y.shape != R.shape:

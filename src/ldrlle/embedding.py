@@ -14,10 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sparse
-import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg
 
 from .datasets import as_columns, as_int, validate_cloud, write_json, write_rows
 from .errors import DisconnectedGraphError, EigenSolverError
@@ -79,6 +75,10 @@ def _bottom_subspace(A, r: int, k: int) -> np.ndarray:
     reciprocals of M's smallest.  Both projections are needed: without them
     the null directions, amplified by both inverses, swamp the rest.
     """
+    import scipy.linalg
+    import scipy.sparse as sparse
+    import scipy.sparse.linalg
+
     n = A.shape[0]
     # Fixed, non-constant start vector keeps ARPACK deterministic; the
     # constant vector spans the operator's null space and would stall it.
@@ -134,6 +134,9 @@ def embed(W, d: int) -> Embedding:
         mode's eigenvalue is not near zero (or not finite, as when W holds a
         NaN or inf weight).
     """
+    import scipy.sparse as sparse
+    import scipy.sparse.csgraph as csgraph
+
     d = as_int(d, "d")
     W = sparse.csr_matrix(W)
     n = W.shape[0]

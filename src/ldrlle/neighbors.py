@@ -1,8 +1,6 @@
 """Exact K-nearest-neighbor graphs."""
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .datasets import as_int, validate_cloud, write_rows
 
@@ -51,7 +49,17 @@ def knn(cloud, K: int) -> np.ndarray:
     deep.  Unsettled rows, such as ties across the candidate boundary, take
     the full row of distances and a stable argsort; a cloud with N <= K + 2
     has none.
+
+    The row sweep stays on ``cdist``.  Scoring the swept rows with the same
+    per-coordinate numpy sum as the candidates gives the same graph, since
+    both round alike, and spares one import.  But on a 2-core machine it
+    made ``knn`` 1.6-2.3x slower on 8000 identical points, where every row
+    is swept (1.1-1.5 s in place of 0.66 s), and 7-15% slower on the 20^3
+    lattice.
     """
+    from scipy.spatial import cKDTree
+    from scipy.spatial.distance import cdist
+
     K = as_int(K, "K")
     X = validate_cloud(cloud)
     n = X.shape[0]

@@ -38,7 +38,6 @@ neighborhood, whose error then has no prefix and point_index None.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .datasets import as_int, validate_cloud, write_rows
 from .errors import DegenerateWeightsError, GeneralPositionError, SingularNeighborhoodError
@@ -298,6 +297,8 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     neighborhood failure is raised for the first failing point, with its
     index attached.
     """
+    import scipy.sparse as sparse
+
     d = as_int(d, "d")
     X = validate_cloud(cloud)
     if method not in ("classical", "ldr"):
@@ -334,6 +335,8 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
 
 def save_weight_matrix(W, path) -> None:
     """Write W as coordinate-format text: one "i,j,value" line per entry."""
+    import scipy.sparse as sparse
+
     coo = sparse.coo_matrix(W)
     write_rows(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()), path)
 

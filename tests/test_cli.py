@@ -32,6 +32,12 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def fresh_python(*args, **kwargs):
+    """Run python with args in a new interpreter that imports this checkout's ldrlle."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ldrlle.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
 class TestGenerate:
     def test_writes_points_and_preimage(self, tmp_path, capsys):
         out = tmp_path / "ring.csv"
@@ -754,16 +760,40 @@ class TestTopLevel:
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # Nothing in the package needs it, and loading it doubles the import time.
-        env = dict(os.environ, PYTHONPATH=str(Path(ldrlle.__file__).parents[1]))
         code = "import sys, ldrlle.cli; assert 'scipy.stats' not in sys.modules"
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        fresh_python("-c", code, check=True)
+
+    @pytest.mark.parametrize("statement", [
+        "import ldrlle",
+        "import ldrlle.cli",
+        "from ldrlle import cli\n"
+        "assert cli.main(['perturb', '--trials', '3', '--out', 'r.json', '--csv', 'r.csv']) == 0",
+        "from ldrlle import cli\n"
+        "assert cli.main(['generate', 'swissroll', '--n', '50', '--out', 'roll.csv']) == 0",
+    ], ids=["import", "import-cli", "perturb", "generate"])
+    def test_numpy_only_paths_load_no_scipy(self, statement, tmp_path):
+        # Each scipy module is imported by the function that runs it, so the
+        # perturbation study and the generators never load one.
+        code = (f"import sys\n{statement}\n"
+                "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+                "assert not loaded, loaded")
+        fresh_python("-c", code, cwd=tmp_path, check=True, capture_output=True)
+
+    @pytest.mark.parametrize("call, module", [
+        ("ldrlle.knn(np.arange(12.0).reshape(6, 2), 2)", "scipy.spatial"),
+        ("ldrlle.embed((np.roll(np.eye(16), 1, 1) + np.roll(np.eye(16), -1, 1)) / 2, 1)",
+         "scipy.sparse.linalg"),
+    ], ids=["knn", "embed"])
+    def test_the_first_call_loads_its_scipy_module(self, call, module):
+        code = (f"import sys\nimport numpy as np\nimport ldrlle\n"
+                f"assert {module!r} not in sys.modules\n{call}\n"
+                f"assert {module!r} in sys.modules")
+        fresh_python("-c", code, check=True)
 
     def test_module_entry_point_exits_with_the_command_code(self, tmp_path):
-        env = dict(os.environ, PYTHONPATH=str(Path(ldrlle.__file__).parents[1]))
-
         def entry(*argv):
-            return subprocess.run([sys.executable, "-m", "ldrlle.cli", *argv], env=env,
-                                  cwd=tmp_path, capture_output=True).returncode
+            return fresh_python("-m", "ldrlle.cli", *argv, cwd=tmp_path,
+                                capture_output=True).returncode
 
         assert entry("perturb", "--trials", "3", "--out", "r.json") == 0
         assert len(json.loads((tmp_path / "r.json").read_text())["reports"]) == 3
@@ -839,3 +869,34 @@ def test_an_output_that_would_overwrite_a_file_of_the_run_is_refused(
     err = capsys.readouterr().err
     assert all(flag in err for flag in flags)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+DIRECTORY_OUTPUTS = [
+    pytest.param(["embed", "--generator", "ring", "--n", "16", "--k", "2", "--d", "1",
+                  "--out", "outdir"], "--out", id="embed-out"),
+    pytest.param(["embed", "--generator", "ring", "--n", "16", "--k", "2", "--d", "1",
+                  "--out", "y.csv", "--dump-weights", "outdir"], "--dump-weights",
+                 id="embed-dump-weights"),
+    pytest.param(["embed", "--generator", "ring", "--n", "16", "--k", "2", "--d", "1",
+                  "--out", "outdir.csv"], "the sidecar of --out", id="embed-sidecar"),
+    pytest.param(["perturb", "--trials", "3", "--out", "r.json", "--csv", "outdir"], "--csv",
+                 id="perturb-csv"),
+    pytest.param(["generate", "ring", "--n", "16", "--out", "outdir"], "--out",
+                 id="generate-out"),
+    pytest.param(["generate", "ring", "--n", "16", "--out", "outdir.csv"],
+                 "the preimage beside --out", id="generate-preimage"),
+    pytest.param(["theorem2", "--generator", "ring", "--n-list", "48", "--k", "4", "--d", "1",
+                  "--out", "outdir"], "--out", id="theorem2-out"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", DIRECTORY_OUTPUTS)
+def test_an_output_that_is_a_directory_is_refused_before_any_write(
+        argv, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("outdir", "outdir.json", "outdir.preimage.csv"):
+        (tmp_path / name).mkdir()
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} outdir")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "outdir", "outdir.json", "outdir.preimage.csv"]

@@ -8,8 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-import ldrlle.neighbors
-
 from ldrlle import assemble_weight_matrix, gen_swissroll, knn, save_neighbor_graph
 from oracles import brute_force_knn, random_orthogonal
 
@@ -212,7 +210,7 @@ class TestTreeSearchIsExact:
             swept.append(len(XA))
             return cdist(XA, XB, metric=metric)
 
-        monkeypatch.setattr(ldrlle.neighbors, "cdist", counting_cdist)
+        monkeypatch.setattr("scipy.spatial.distance.cdist", counting_cdist)
         np.testing.assert_array_equal(knn(X, 1), brute_force_knn(X, 1))
         assert swept
 
@@ -223,7 +221,7 @@ class TestTreeSearchIsExact:
         def refusing_cdist(*args, **kwargs):
             raise AssertionError("row sweep ran on a tie-free cloud")
 
-        monkeypatch.setattr(ldrlle.neighbors, "cdist", refusing_cdist)
+        monkeypatch.setattr("scipy.spatial.distance.cdist", refusing_cdist)
         np.testing.assert_array_equal(knn(X, 12), expected)
 
     def test_small_clouds_never_take_the_row_sweep(self, rng, monkeypatch):
@@ -232,7 +230,7 @@ class TestTreeSearchIsExact:
         def refusing_cdist(*args, **kwargs):
             raise AssertionError("row sweep ran on a small cloud")
 
-        monkeypatch.setattr(ldrlle.neighbors, "cdist", refusing_cdist)
+        monkeypatch.setattr("scipy.spatial.distance.cdist", refusing_cdist)
         for n in range(2, 16):
             for D in (1, 2, 3, 5):
                 X = rng.normal(size=(n, D))
