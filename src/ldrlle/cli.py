@@ -76,16 +76,18 @@ def _config(args, **fields) -> dict:
     return {"command": args.command, "seed": args.seed, "output": str(args.out), **fields}
 
 
-def _samples(args):
+def _pipeline_config(args, **fields) -> dict:
+    """_config plus the sample source, K and d that embed and theorem2 share."""
+    return _config(args, input=None if args.input is None else str(args.input),
+                   generator=args.generator, K=args.k, d=args.d, **fields)
+
+
+def _samples(args, flag, sizes, default):
     """Yield (points, preimage or None): one lazily generated sample per size
     with --generator, else the --input file once, with --preimage or else the
-    sibling preimage file when it exists.  The sizes are embed's --n, default
-    2000, or theorem2's --n-list, default 500 1000 2000; either flag is
-    refused with --input."""
-    if args.command == "embed":
-        flag, sizes, default = "--n", None if args.n is None else [args.n], [2000]
-    else:
-        flag, sizes, default = "--n-list", args.n_list, [500, 1000, 2000]
+    preimage file beside --input when it exists.  The sizes are the caller's
+    size flag's value, or its default when the flag was not given (None); the
+    flag is refused with --input."""
     if args.generator is not None:
         if args.preimage is not None:
             raise ValueError("--preimage applies only with --input: "
@@ -123,7 +125,7 @@ def cmd_embed(args) -> int:
         args.seed = 0
     if args.method == "classical" and args.delta is None:
         args.delta = weights.DEFAULT_DELTA
-    X, preimage = next(_samples(args))
+    X, preimage = next(_samples(args, "--n", None if args.n is None else [args.n], [2000]))
     graph = neighbors.knn(X, args.k)
     W, spectra = weights.assemble_weight_matrix(
         X, graph, args.method, d=args.d, delta=args.delta
@@ -136,13 +138,9 @@ def cmd_embed(args) -> int:
         X, emb.Y, weights=W, preimage=preimage
     )
 
-    meta = _config(
+    meta = _pipeline_config(
         args,
-        input=str(args.input) if args.input is not None else None,
-        generator=args.generator,
         n=int(X.shape[0]),
-        K=args.k,
-        d=args.d,
         method=args.method,
         delta=args.delta,
         phi=diag.phi_value,
@@ -191,12 +189,10 @@ def cmd_perturb(args) -> int:
         ], args.csv)
 
     for row in payload["reports"]:
-        bound = "n/a" if row["bound"] is None else f"{row['bound']:.3e}"
-        violations = "n/a" if row["violations"] is None else row["violations"]
         print(
             f"epsilon {row['epsilon']:g}: median classical "
-            f"{row['classical']['median']:.3e}, median rank-d "
-            f"{row['ldr']['median']:.3e}, bound {bound}, violations {violations}"
+            f"{row['classical']['median']:.3e}, median rank-d {row['ldr']['median']:.3e}, "
+            f"bound {_shown(row['bound'], '.3e')}, violations {_shown(row['violations'])}"
         )
     total_violations = sum(row["violations"] or 0 for row in payload["reports"])
     if total_violations:
@@ -206,14 +202,12 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_theorem2(args) -> int:
-    if args.input is not None and args.preimage is None:
-        raise ValueError(
-            "--input requires --preimage: the objective-value check "
-            "scores ground-truth parameters, which an arbitrary CSV does not carry"
-        )
     _refuse_shared_paths(_inputs(args), [("--out", args.out)])
     rows = []
-    for X, Z in _samples(args):
+    for X, Z in _samples(args, "--n-list", args.n_list, [500, 1000, 2000]):
+        if Z is None:
+            raise ValueError("the check scores ground-truth parameters: pass --preimage or write "
+                             f"{datasets.preimage_path(args.input)}, the preimage beside --input")
         graph = neighbors.knn(X, args.k)
         W, spectra = weights.assemble_weight_matrix(X, graph, "ldr", d=args.d)
         result = diagnostics.theorem2_check_from_parts(Z, W, spectra)
@@ -228,26 +222,21 @@ def cmd_theorem2(args) -> int:
         bounded = base is not None and all(
             r["ratio"] is not None and r["ratio"] <= 2.0 * base for r in rows
         )
-    config = _config(
-        args,
-        generator=args.generator,
-        input=str(args.input) if args.input is not None else None,
-        K=args.k,
-        d=args.d,
-        permutations=args.permutations,
-    )
+    config = _pipeline_config(args, permutations=args.permutations)
     report = {"config": config, "rows": rows, "bounded": bounded}
     datasets.write_json(report, args.out)
     for r in rows:
-        ratio = "n/a" if r["ratio"] is None else f"{r['ratio']:.3e}"
-        null_over_phi = "n/a" if r["null_over_phi"] is None else f"{r['null_over_phi']:.1f}"
-        print(
-            f"n {r['n']}: phi/n {r['phi_z_over_n']:.3e}, ratio {ratio}, "
-            f"null/phi {null_over_phi}"
-        )
+        print(f"n {r['n']}: phi/n {r['phi_z_over_n']:.3e}, ratio {_shown(r['ratio'], '.3e')}, "
+              f"null/phi {_shown(r['null_over_phi'], '.1f')}")
     if bounded is not None:
         print(f"ratio bounded (within 2x of smallest n): {bounded}")
     return 0
+
+
+def _shown(value, spec="") -> str:
+    """A report value as the console prints it: formatted by spec, or "n/a"
+    where it is undefined (None)."""
+    return "n/a" if value is None else format(value, spec)
 
 
 def _theorem2_row(n, result, null) -> dict:
@@ -276,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--input", type=Path, help="points CSV (headerless)")
     src.add_argument("--generator", choices=sorted(datasets.GENERATORS))
     pipeline.add_argument("--preimage", type=Path,
-                          help="ground-truth parameter CSV (for embed, auto-discovered next "
-                               "to --input when present; theorem2 needs it with --input)")
+                          help="ground-truth parameter CSV (auto-discovered next to --input)")
     pipeline.add_argument("--k", type=int, default=12, help="neighbors per point (default 12)")
     pipeline.add_argument("--d", type=int, default=2, help="output dimension (default 2)")
     pipeline.add_argument("--out", type=Path, required=True)

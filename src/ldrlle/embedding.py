@@ -45,7 +45,8 @@ class Embedding:
     Columns of Y are unit-norm eigenvectors of M = (I - W)'(I - W) for its d
     smallest eigenvalues on the complement of the ones vector, ascending.  The
     constant mode is dropped and its eigenvalue ||(I - W)1||^2 / N recorded.
-    Y'1 = 0 and Y'Y = I hold to 1e-8.
+    Y'1 = 0 and Y'Y = I hold to 1e-8, also when W reconstructs its input
+    exactly and M's null space has more than one dimension.
     """
 
     Y: np.ndarray             # (N, d)
@@ -62,7 +63,9 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
 
 def _bottom_subspace(A, r: int, k: int) -> np.ndarray:
     """Orthonormal basis of the k-dim bottom eigenspace of M = A'A on the
-    complement of the ones vector, by ARPACK on M's pseudo-inverse.
+    complement of the ones vector, by ARPACK on M's pseudo-inverse.  The
+    basis is orthogonal to the ones vector to rounding, not to the solver's
+    tolerance: it comes from one QR of the ones vector and the purified block.
 
     A = I - W has the ones vector as its right null vector and some z as its
     left one.  Pinning the diagonal entry r, a point of W's one closed class,
@@ -80,8 +83,11 @@ def _bottom_subspace(A, r: int, k: int) -> np.ndarray:
     import scipy.sparse.linalg
 
     n = A.shape[0]
-    # Fixed, non-constant start vector keeps ARPACK deterministic; the
-    # constant vector spans the operator's null space and would stall it.
+    # A fixed, non-constant start vector and a seeded generator for restart
+    # vectors keep ARPACK deterministic: once the Krylov space is exhausted
+    # (duplicate-heavy input), eigsh draws a restart vector, from OS entropy
+    # unless rng is given.  The constant vector spans the operator's null
+    # space and would stall it.
     v0 = np.cos(np.arange(n))
     try:
         pinned = A + sparse.csr_matrix(([1.0], ([r], [r])), shape=(n, n))
@@ -96,17 +102,22 @@ def _bottom_subspace(A, r: int, k: int) -> np.ndarray:
             return y - y.mean(axis=0)
 
         pinv = sparse.linalg.LinearOperator((n, n), matvec=pinv_m, matmat=pinv_m, dtype=float)
-        _, basis = sparse.linalg.eigsh(pinv, k=k, v0=v0)
+        _, basis = sparse.linalg.eigsh(pinv, k=k, v0=v0, rng=0)
     # splu raises RuntimeError on an exactly singular factor; ArpackError is its subclass.
     except RuntimeError as exc:
         raise EigenSolverError(f"eigensolver failed: {exc}") from exc
     # One more application of the inverse purifies the Ritz vectors: the
     # Lanczos recurrence can leave in them components of modes far above the
     # bottom cluster, whose energy adds visibly to the cluster's eigenvalues
-    # when those sit at rounding level (classical weights on a sheet).
+    # when those sit at rounding level (classical weights on a sheet).  The
+    # purified block is orthonormalised together with the ones vector, whose
+    # column is then dropped: Householder QR keeps every later column
+    # orthogonal to the first to working precision however ill-conditioned
+    # the block is, while QR of the block alone lets that conditioning, severe
+    # when W reconstructs exactly, bring the constant mode back.
     # scipy's QR, not numpy's: with two BLAS threads, numpy's QR of this tall
     # block left later scipy BLAS work (a dense eigh) about 1.8x slower.
-    return scipy.linalg.qr(pinv @ basis, mode="economic")[0]
+    return scipy.linalg.qr(np.column_stack([np.ones(n), pinv @ basis]), mode="economic")[0][:, 1:]
 
 
 def embed(W, d: int) -> Embedding:

@@ -629,6 +629,41 @@ class TestObjectiveValueCommand:
         assert rc == 2
         assert "--preimage" in capsys.readouterr().err
 
+    def test_input_without_any_preimage_names_its_path_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        src = tmp_path / "pts.csv"
+        save_csv(gen_swissroll(60, seed=1).points, src)
+        rc = run("theorem2", "--input", str(src), "--k", "8", "--out", str(tmp_path / "r.json"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--preimage" in err and str(preimage_path(src)) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["pts.csv"]
+
+    def test_input_finds_the_preimage_beside_it(self, tmp_path):
+        src = tmp_path / "roll.csv"
+        save_sample(gen_swissroll(150, seed=2), src)
+        reports = []
+        given = ["--preimage", str(preimage_path(src))]
+        for name, extra in (("found.json", []), ("given.json", given)):
+            out = tmp_path / name
+            rc = run("theorem2", "--input", str(src), *extra, "--k", "10",
+                     "--permutations", "3", "--out", str(out))
+            assert rc == 0
+            report = json.loads(out.read_text())
+            assert report["config"].pop("output") == str(out)
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    def test_sizes_with_a_bare_input_are_refused_as_sizes(self, tmp_path, capsys):
+        # The size flag is refused first, as embed refuses --n with --input.
+        src = tmp_path / "pts.csv"
+        save_csv(gen_swissroll(60, seed=1).points, src)
+        rc = run("theorem2", "--input", str(src), "--n-list", "50",
+                 "--out", str(tmp_path / "r.json"))
+        assert rc == 2
+        assert "--n-list" in capsys.readouterr().err
+
     def test_preimage_with_a_generator_is_refused(self, tmp_path, capsys):
         rc = run(
             "theorem2", "--generator", "ring", "--n-list", "48", "--k", "4", "--d", "1",

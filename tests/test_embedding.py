@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from ldrlle import (
     DisconnectedGraphError,
     EigenSolverError,
+    LdrLleError,
     assemble_weight_matrix,
     embed,
     gen_scurve,
@@ -79,6 +80,21 @@ def strongly_connected_row_stochastic(n, k, rng):
         vals = rng.random(k) + 0.1
         W[i, cols] = vals / vals.sum()
     return sparse.csr_matrix(W)
+
+
+def fuzz_cloud(family, n, D, rng):
+    """An (n, D) cloud of one of the families that strain the embedding: Gaussian,
+    rounded to one decimal, drawn from at most three distinct points, or scaled
+    by 10^+-200."""
+    if family == "duplicates":
+        pool = rng.normal(size=(int(rng.integers(1, 4)), D))
+        return pool[rng.integers(0, len(pool), size=n)]
+    X = rng.normal(size=(n, D))
+    if family == "rounded":
+        return np.round(X, 1)
+    if family == "scaled":
+        return X * 10.0 ** rng.choice([-200, 200])
+    return X
 
 
 def assert_embedding_contract(emb, W):
@@ -343,6 +359,47 @@ class TestEmbed:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
         with pytest.raises(EigenSolverError, match="eigensolver failed"):
             embed(W, 1)
+
+    @given(
+        family=st.sampled_from(["gaussian", "rounded", "duplicates", "scaled"]),
+        n=st.integers(3, 39),
+        D=st.integers(1, 5),
+        K=st.integers(1, 12),
+        d=st.integers(1, 5),
+        method=st.sampled_from(["classical", "ldr"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(family="gaussian", n=4, D=1, K=3, d=2, method="ldr", seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_small_clouds_keep_the_contract_or_raise_a_typed_error(
+        self, family, n, D, K, d, method, seed
+    ):
+        # ldr weights with d >= D, and classical weights on a flat cloud,
+        # reconstruct every neighbourhood exactly, so M has a null space of
+        # several dimensions and the constant mode must still be kept out of Y.
+        X = fuzz_cloud(family, n, D, np.random.default_rng(seed))
+        try:
+            W, _ = assemble_weight_matrix(X, knn(X, min(K, n - 1)), method, d=d)
+            emb = embed(W, d)
+        except (LdrLleError, ValueError):
+            return
+        assert_embedding_contract(emb, W)
+
+    def test_exact_reconstruction_on_the_roll_keeps_the_constant_mode_out(self):
+        # ldr weights with d = 4 > D = 3 reconstruct the roll exactly, so M's
+        # null space holds the coordinates too and the QR block is badly
+        # conditioned; the constant mode must still stay out of all four columns.
+        X = gen_swissroll(2000, seed=11).points
+        W, _ = assemble_weight_matrix(X, knn(X, 12), "ldr", d=4)
+        assert_embedding_contract(embed(W, 4), W)
+
+    def test_duplicate_heavy_reruns_are_identical(self):
+        # ARPACK exhausts its Krylov space on this cloud and draws a restart
+        # vector, which must come from a fixed seed, not from OS entropy.
+        X = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 3.0, 3.0, 3.0])[:, None]
+        W, _ = assemble_weight_matrix(X, knn(X, 4), "classical", d=2)
+        runs = [embed(W, 2) for _ in range(5)]
+        assert len({(r.Y.tobytes(), r.eigenvalues.tobytes()) for r in runs}) == 1
 
     def test_exact_reconstruction_regime_is_handled(self, rng):
         # Points lying in a plane are reconstructed exactly by ambient-space
