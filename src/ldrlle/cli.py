@@ -47,9 +47,10 @@ def cmd_generate(args) -> int:
 
 def _refuse_shared_paths(inputs, outputs) -> None:
     """Raise ValueError, naming the flag, for an output that is an existing
-    directory, and, naming both flags, for an output that names an input or
-    another output.  Both are (flag, path or None) pairs; paths compare
-    resolved.  Commands call it before they read or write anything."""
+    directory or whose parent is not one, and, naming both flags, for an
+    output that names an input or another output.  Both are (flag, path or
+    None) pairs; paths compare resolved.  Commands call it before they read
+    or write anything."""
     seen = {path.resolve(): flag for flag, path in inputs if path is not None}
     for flag, path in outputs:
         if path is None:
@@ -59,6 +60,8 @@ def _refuse_shared_paths(inputs, outputs) -> None:
         if seen.setdefault(path.resolve(), flag) != flag:
             raise ValueError(f"{flag} {path} is the same file as {seen[path.resolve()]}; "
                              "an output may not overwrite an input or another output")
+        if not path.parent.is_dir():
+            raise ValueError(f"{flag} {path}: {path.parent} is not an existing directory")
 
 
 def _inputs(args):
@@ -146,6 +149,9 @@ def cmd_embed(args) -> int:
         phi=diag.phi_value,
         linear_r2=diag.linear_r2,
         rank_correlation=diag.rank_correlation,
+        alpha=None,
+        r_max=None,
+        gap_warnings=None,
     )
     if spectra is not None:
         meta["alpha"] = {
@@ -155,10 +161,6 @@ def cmd_embed(args) -> int:
         }
         meta["r_max"] = float(spectra.radius.max())
         meta["gap_warnings"] = np.flatnonzero(spectra.gap_warning).tolist()
-    else:
-        meta["alpha"] = None
-        meta["r_max"] = None
-        meta["gap_warnings"] = None
 
     embedding.save_embedding(emb, args.out, metadata=meta)
     if args.dump_neighbors is not None:

@@ -209,28 +209,25 @@ def load_csv(path) -> np.ndarray:
     if not lines:
         raise CsvFormatError(f"{path}: empty file")
     rows = []
-    width = None
+    width = lines[0].count(",") + 1
     for lineno, line in enumerate(lines, start=1):
         cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
+        if len(cells) != width:
             raise CsvFormatError(
                 f"{path}: ragged row at line {lineno} "
                 f"({len(cells)} fields, expected {width})",
                 row=lineno,
             )
-        parsed = []
         for colno, cell in enumerate(cells, start=1):
             try:
-                parsed.append(float(cell))
+                cells[colno - 1] = float(cell)
             except ValueError:
                 raise CsvFormatError(
                     f"{path}: cannot parse {cell.strip()!r} at line {lineno}, column {colno}",
                     row=lineno,
                     column=colno,
                 ) from None
-        rows.append(parsed)
+        rows.append(cells)
     return validate_cloud(np.array(rows, dtype=float))
 
 

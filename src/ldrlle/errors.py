@@ -13,7 +13,12 @@ __all__ = [
 
 
 class LdrLleError(Exception):
-    """Base class for algorithm-level failures."""
+    """Base class for algorithm-level failures.  point_index is the failing
+    row of a stack of neighborhoods, or None where no row is named."""
+
+    def __init__(self, message, point_index=None):
+        super().__init__(message)
+        self.point_index = point_index
 
 
 class CsvFormatError(ValueError):
@@ -29,17 +34,12 @@ class SingularNeighborhoodError(LdrLleError):
     """Gram matrix is singular to working precision and no regularization was asked for."""
 
     def __init__(self, message, rcond=None, point_index=None):
-        super().__init__(message)
+        super().__init__(message, point_index)
         self.rcond = rcond
-        self.point_index = point_index
 
 
 class DegenerateWeightsError(LdrLleError):
     """Solved weight vector sums to zero, so normalization is undefined."""
-
-    def __init__(self, message, point_index=None):
-        super().__init__(message)
-        self.point_index = point_index
 
 
 class GeneralPositionError(LdrLleError):
@@ -48,9 +48,8 @@ class GeneralPositionError(LdrLleError):
     vector in the discarded subspace can sum to one."""
 
     def __init__(self, message, alpha=None, point_index=None):
-        super().__init__(message)
+        super().__init__(message, point_index)
         self.alpha = alpha
-        self.point_index = point_index
 
 
 class DisconnectedGraphError(LdrLleError):

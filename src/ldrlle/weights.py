@@ -101,15 +101,13 @@ def _per_row(kernel, rows):
         raise ValueError(f"need one (K, D) neighborhood or an (N, K, D) stack, got {rows.shape}")
     if 0 in rows.shape[-2:]:
         raise ValueError(f"need K >= 1 neighbors with D >= 1 coordinates, got {rows.shape}")
-    stack = rows if rows.ndim == 3 else rows[None]
+    stack = rows.reshape(-1, *rows.shape[-2:])
     bad = ~np.isfinite(stack).all(axis=(1, 2))
     if bad.any():
         row = f" {int(np.argmax(bad))}" if rows.ndim == 3 else ""
         raise ValueError(f"neighborhood{row} contains non-finite entries")
     U, lam, _ = _svd(stack)
-    if rows.ndim == 3:
-        return kernel(U, lam, "point {}")
-    return kernel(U, lam, None)[0]
+    return kernel(U, lam, "point {}" if rows.ndim == 3 else None).reshape(rows.shape[:-1])
 
 
 def _row_error(kind, label, i: int, message: str, **fields):

@@ -11,7 +11,13 @@ import numpy as np
 
 
 def brute_force_knn(X, K):
-    """Neighbor lists by sorting (distance, index) pairs per point."""
+    """Neighbor lists by sorting (distance, index) pairs per point.
+
+    At ulp-level ties this is a set oracle, not an order oracle: diff @ diff
+    does not round like cdist(..., "sqeuclidean"), so two near-tied
+    candidates can swap places.  Order checks against it need exact or
+    well-separated inputs; near-tied shells are checked against
+    test_neighbors.row_sweep_knn instead."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     out = np.empty((n, K), dtype=np.intp)

@@ -935,3 +935,39 @@ def test_an_output_that_is_a_directory_is_refused_before_any_write(
     assert capsys.readouterr().err.startswith(f"error: {flag} outdir")
     assert sorted(p.name for p in tmp_path.rglob("*")) == [
         "outdir", "outdir.json", "outdir.preimage.csv"]
+
+
+MISSING_PARENT_OUTPUTS = [
+    pytest.param(["embed", "--generator", "ring", "--n", "16", "--k", "2", "--d", "1",
+                  "--out", "nodir/y.csv"], "--out", False, id="embed-out"),
+    pytest.param(["embed", "--generator", "ring", "--n", "16", "--k", "2", "--d", "1",
+                  "--out", "y.csv", "--dump-weights", "nodir/W.txt"], "--dump-weights", False,
+                 id="embed-dump-weights"),
+    pytest.param(["perturb", "--trials", "3", "--out", "r.json", "--csv", "nodir/r.csv"],
+                 "--csv", False, id="perturb-csv"),
+    pytest.param(["generate", "ring", "--n", "16", "--out", "nodir/ring.csv"], "--out", False,
+                 id="generate-out"),
+    pytest.param(["theorem2", "--generator", "ring", "--n-list", "48", "--k", "4", "--d", "1",
+                  "--out", "nodir/t.json"], "--out", False, id="theorem2-out"),
+    pytest.param(["embed", "--generator", "ring", "--n", "16", "--k", "2", "--d", "1",
+                  "--out", "y.csv", "--dump-neighbors", "nodir/N.txt"], "--dump-neighbors",
+                 True, id="embed-dump-under-a-file"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, parent_is_file", MISSING_PARENT_OUTPUTS)
+def test_an_output_outside_an_existing_directory_is_refused_before_any_work(
+        argv, flag, parent_is_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if parent_is_file:
+        (tmp_path / "nodir").write_text("")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the outputs were checked")
+
+    for module, name in ((cli.datasets, "generate"), (cli.neighbors, "knn"),
+                         (cli.diagnostics, "perturbation_experiment")):
+        monkeypatch.setattr(module, name, no_work)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} nodir/")
+    assert [p.name for p in tmp_path.rglob("*")] == (["nodir"] if parent_is_file else [])
