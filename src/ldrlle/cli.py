@@ -7,6 +7,7 @@ neighbor graph, 4 general-position violation, 5 numerical failure.
 import argparse
 import dataclasses
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,11 @@ def cmd_embed(args) -> int:
         ("--dump-weights", args.dump_weights),
         ("--dump-spectra", args.dump_spectra),
     ])
+    # With ldr, the weights' own d-range check reports an unsplit d.
+    if (args.method == "classical" and args.dump_spectra is not None
+            and not 1 <= args.d < args.k):
+        raise ValueError(f"--dump-spectra needs a rank-d split (1 <= d < K = {args.k}), "
+                         f"got d = {args.d}")
     # The sidecar records the seed and delta that were used, null where none was.
     if args.generator is not None and args.seed is None:
         args.seed = 0
@@ -133,9 +139,6 @@ def cmd_embed(args) -> int:
     W, spectra = weights.assemble_weight_matrix(
         X, graph, args.method, d=args.d, delta=args.delta
     )
-    if args.dump_spectra is not None and spectra is None:
-        raise ValueError(f"--dump-spectra needs a rank-d split (1 <= d < K = {args.k}), "
-                         f"got d = {args.d}")
     emb = embedding.embed(W, args.d)
     diag = diagnostics.linear_projection_diagnostic(
         X, emb.Y, weights=W, preimage=preimage
@@ -185,10 +188,10 @@ def cmd_perturb(args) -> int:
     payload = {**diagnostics.perturbation_report_dict(reports), "config": config}
     datasets.write_json(payload, args.out)
     if args.csv is not None:
-        datasets.write_rows([("epsilon", "trial", "classical", "ldr")] + [
+        datasets.write_rows(chain([("epsilon", "trial", "classical", "ldr")], (
             (r.epsilon, t, *pair) for r in reports for t, pair in
             enumerate(np.column_stack([r.distances_classical, r.distances_ldr]).tolist())
-        ], args.csv)
+        )), args.csv)
 
     for row in payload["reports"]:
         print(

@@ -25,7 +25,7 @@ from ldrlle import (
     save_sample,
 )
 from ldrlle import assemble_weight_matrix, knn
-from ldrlle.datasets import gen_swissroll
+from ldrlle.datasets import gen_open_ring, gen_swissroll
 
 
 def run(*argv):
@@ -339,6 +339,26 @@ class TestEmbed:
         assert rc == 2
         assert "--dump-spectra" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("source", [["--generator", "ring", "--n", "16"],
+                                        ["--input", "ring.csv"]], ids=["generator", "input"])
+    def test_spectra_dump_without_a_rank_split_is_refused_before_any_work(
+            self, source, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_csv(gen_open_ring(16).points, "ring.csv")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the rank split was checked")
+
+        for module, name in ((cli.datasets, "load_csv"), (cli.datasets, "generate"),
+                             (cli.neighbors, "knn")):
+            monkeypatch.setattr(module, name, no_work)
+        rc = run("embed", *source, "--k", "4", "--d", "4", "--method", "classical",
+                 "--out", "emb.csv", "--dump-spectra", "spec.csv")
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --dump-spectra needs a rank-d split (1 <= d < K = 4), got d = 4\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ring.csv"]
 
     def test_non_finite_sidecar_is_numerical_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch

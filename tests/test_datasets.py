@@ -1,6 +1,7 @@
 """Sample generators, cloud validation, and CSV round-trips."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,22 @@ class TestWriteRows:
         path = tmp_path / "empty.csv"
         write_rows(iter(()), path)
         assert path.read_bytes() == b""
+
+    def test_holds_one_line_not_the_file(self, tmp_path):
+        # These rows make a 4.9 MiB file; joining its text before writing it
+        # traced a 20.6 MiB peak.
+        def rows():
+            return ((i, i % 12, (i + 0.5) / 7.0) for i in range(200_000))
+
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            write_rows(rows(), path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert path.read_bytes() == self.joined(rows()).encode()
 
 
 class TestSampleFiles:
