@@ -124,11 +124,6 @@ def cmd_embed(args) -> int:
         ("--dump-weights", args.dump_weights),
         ("--dump-spectra", args.dump_spectra),
     ])
-    # With ldr, the weights' own d-range check reports an unsplit d.
-    if (args.method == "classical" and args.dump_spectra is not None
-            and not 1 <= args.d < args.k):
-        raise ValueError(f"--dump-spectra needs a rank-d split (1 <= d < K = {args.k}), "
-                         f"got d = {args.d}")
     # The sidecar records the seed and delta that were used, null where none was.
     if args.generator is not None and args.seed is None:
         args.seed = 0
@@ -152,19 +147,14 @@ def cmd_embed(args) -> int:
         phi=diag.phi_value,
         linear_r2=diag.linear_r2,
         rank_correlation=diag.rank_correlation,
-        alpha=None,
-        r_max=None,
-        gap_warnings=None,
-    )
-    if spectra is not None:
-        meta["alpha"] = {
+        alpha={
             "min": float(spectra.alpha.min()),
             "mean": float(spectra.alpha.mean()),
             "max": float(spectra.alpha.max()),
-        }
-        meta["r_max"] = float(spectra.radius.max())
-        meta["gap_warnings"] = np.flatnonzero(spectra.gap_warning).tolist()
-
+        },
+        r_max=float(spectra.radius.max()),
+        gap_warnings=np.flatnonzero(spectra.gap_warning).tolist(),
+    )
     embedding.save_embedding(emb, args.out, metadata=meta)
     if args.dump_neighbors is not None:
         neighbors.save_neighbor_graph(graph, args.dump_neighbors)

@@ -208,10 +208,11 @@ def theorem2_check_from_parts(preimage, W, spectra) -> Theorem2Result:
     boundedness is the check.  The tail counts as vanished when the largest
     discarded singular value is within TAIL_VANISH_REL of the largest
     retained one; an exact-zero test would miss data that is rank d up to
-    rounding.  Raises ValueError when spectra is None, as assembly returns it
-    for classical weights with d >= K.
+    rounding.  The tail is lambda_{d+1}, so the check needs d < K: it raises
+    ValueError for spectra of classical weights assembled with d >= K, which
+    discard nothing.
     """
-    if spectra is None:
+    if spectra.d >= spectra.singular_values.shape[1]:
         raise ValueError("the preimage check needs a rank-d split (1 <= d < K); "
                          "the weights were assembled without one")
     n = W.shape[0]

@@ -55,10 +55,9 @@ class Embedding:
 
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:
-    """Make each column's largest-magnitude entry positive (first one on ties), per matrix."""
-    lead = np.argmax(np.abs(U), axis=-2)
-    picked = np.take_along_axis(U, lead[..., None, :], axis=-2)
-    return U * np.where(picked < 0.0, -1.0, 1.0)
+    """Make each column's largest-magnitude entry positive (first one on ties)."""
+    lead = np.argmax(np.abs(U), axis=0)
+    return U * np.where(U[lead, np.arange(U.shape[1])] < 0.0, -1.0, 1.0)
 
 
 def _bottom_subspace(A, r: int, k: int) -> np.ndarray:

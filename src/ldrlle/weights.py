@@ -68,6 +68,10 @@ GENERAL_POSITION_TOL = 1e-12
 # Relative spectral-gap floor below which the rank-d split is flagged.
 GAP_WARN_REL = 1e-6
 
+# Rows a dump converts to Python scalars at a time, so no dump holds its table
+# as Python lists.
+DUMP_BLOCK = 4096
+
 @dataclass
 class Spectra:
     """Rank-d splits of all neighborhoods of a cloud; row i belongs to point i.
@@ -80,8 +84,10 @@ class Spectra:
     ill-defined split: lambda_1 = 0, or (lambda_d - lambda_{d+1}) / lambda_1
     below 1e-6.  Past the thin rank, d >= m, U1 is the whole thin basis, so
     alpha (and the ldr weights) equal those at d = m bit for bit, and for
-    d > m every row is gap-warned, lambda_d = lambda_{d+1} = 0.  radius is
-    the largest distance from the point to one of its neighbors.
+    d > m every row is gap-warned, lambda_d = lambda_{d+1} = 0.  At d >= K
+    nothing is discarded: the pair reads (lambda_K, lambda_K), so every row is
+    gap-warned too.  radius is the largest distance from the point to one of
+    its neighbors.  The singular values and radii do not depend on d.
     """
 
     singular_values: np.ndarray  # (N, K)
@@ -286,9 +292,11 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     delta) or "ldr" (rank-d representation weights).  One SVD per
     neighborhood feeds both the weights and the spectra, which are computed
     for every point regardless of method, so callers can report alpha,
-    singular values, radii, and gap warnings; for classical with d >= K no
-    rank split exists and the spectra are None.  A d that is not an integer
-    (2.0) raises TypeError.
+    singular values, radii, and gap warnings.  Classical weights take any
+    d >= 1: at d >= K nothing is discarded and every spectra row is
+    gap-warned, while the ldr weights refuse d outside [1, K).  A d below 1
+    raises ValueError, after the ldr weights' own check; a d that is not an
+    integer (2.0) raises TypeError.
 
     Returns (W, spectra) with W in CSR format, row i carrying point i's
     weights on its neighbor columns, and spectra a Spectra record.  A
@@ -318,17 +326,23 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     rows = X[graph]
     rows -= X[:, None, :]
     U, lam, radius = _svd(rows)
-    spectra = None
-    if 1 <= d < K:
-        top = lam[:, 0]
-        gap = (top <= 0.0) | (
-            (lam[:, d - 1] - lam[:, d]) / np.where(top > 0.0, top, 1.0) < GAP_WARN_REL
-        )
-        spectra = Spectra(lam, _sqnorm(np.ones(K) @ U[:, :, :d]) / K, radius, gap, d)
     data = _ldr(U, d, "point {}") if method == "ldr" else _classical(U, lam, delta, "point {}")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    # At d >= K the pair clips to (lambda_K, lambda_K): a zero gap, so every row is flagged.
+    pair = np.take(lam, [d - 1, d], axis=1, mode="clip")
+    top = lam[:, 0]
+    gap = (top <= 0.0) | ((pair[:, 0] - pair[:, 1]) / np.where(top > 0.0, top, 1.0) < GAP_WARN_REL)
+    spectra = Spectra(lam, _sqnorm(np.ones(K) @ U[:, :, :d]) / K, radius, gap, d)
     indptr = np.arange(0, n * K + 1, K)
     W = sparse.csr_matrix((data.ravel(), graph.ravel().copy(), indptr), shape=(n, n))
     return W, spectra
+
+
+def _rows(a: np.ndarray):
+    """The rows of a as Python scalars (.tolist()), DUMP_BLOCK rows at a time."""
+    for start in range(0, len(a), DUMP_BLOCK):
+        yield from a[start:start + DUMP_BLOCK].tolist()
 
 
 def save_weight_matrix(W, path) -> None:
@@ -336,10 +350,10 @@ def save_weight_matrix(W, path) -> None:
     import scipy.sparse as sparse
 
     coo = sparse.coo_matrix(W)
-    write_rows(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()), path)
+    write_rows(zip(_rows(coo.row), _rows(coo.col), _rows(coo.data)), path)
 
 
 def save_spectra(spectra: Spectra, path) -> None:
     """Write spectra as CSV rows: point index, lambda_1..lambda_K, alpha, radius."""
     table = np.column_stack([spectra.singular_values, spectra.alpha, spectra.radius])
-    write_rows(([i, *row] for i, row in enumerate(table.tolist())), path)
+    write_rows(([i, *row] for i, row in enumerate(_rows(table))), path)

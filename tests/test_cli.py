@@ -330,35 +330,28 @@ class TestEmbed:
         assert "its own sidecar path" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_spectra_dump_without_a_rank_split_is_refused(self, tmp_path, capsys):
+    def test_spectra_dump_without_a_rank_split_is_refused(self, tmp_path):
+        # Classical weights at d >= K discard nothing, yet the record is
+        # total, so the dump is written: one row of K + 3 fields per point.
         rc = run(
             "embed", "--generator", "ring", "--n", "16", "--k", "2", "--d", "3",
             "--method", "classical", "--out", str(tmp_path / "emb.csv"),
             "--dump-spectra", str(tmp_path / "spec.csv"),
         )
-        assert rc == 2
-        assert "--dump-spectra" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert rc == 0
+        assert load_csv(tmp_path / "spec.csv").shape == (16, 5)
 
     @pytest.mark.parametrize("source", [["--generator", "ring", "--n", "16"],
                                         ["--input", "ring.csv"]], ids=["generator", "input"])
     def test_spectra_dump_without_a_rank_split_is_refused_before_any_work(
-            self, source, tmp_path, capsys, monkeypatch):
+            self, source, tmp_path, monkeypatch):
+        # From either source, d = K is a run like any other.
         monkeypatch.chdir(tmp_path)
         save_csv(gen_open_ring(16).points, "ring.csv")
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("work ran before the rank split was checked")
-
-        for module, name in ((cli.datasets, "load_csv"), (cli.datasets, "generate"),
-                             (cli.neighbors, "knn")):
-            monkeypatch.setattr(module, name, no_work)
         rc = run("embed", *source, "--k", "4", "--d", "4", "--method", "classical",
                  "--out", "emb.csv", "--dump-spectra", "spec.csv")
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            "error: --dump-spectra needs a rank-d split (1 <= d < K = 4), got d = 4\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ring.csv"]
+        assert rc == 0
+        assert load_csv("spec.csv").shape == (16, 7)
 
     def test_non_finite_sidecar_is_numerical_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch
@@ -438,16 +431,22 @@ class TestEmbed:
         assert r_max[1] == pytest.approx(1e-170 * r_max[0], rel=1e-12)
 
     def test_classical_run_without_a_rank_split_records_null_spectra(self, tmp_path):
-        out = tmp_path / "emb.csv"
-        rc = run(
-            "embed", "--generator", "ring", "--n", "16", "--k", "2", "--d", "3",
-            "--method", "classical", "--out", str(out),
-        )
-        assert rc == 0
-        sidecar = json.loads(out.with_suffix(".json").read_text())
-        assert sidecar["alpha"] is None
-        assert sidecar["r_max"] is None
-        assert sidecar["gap_warnings"] is None
+        # At d >= K the sidecar records the spectra as at any d: K = D = 2, so
+        # the retained span is the whole neighborhood, and every row is gap-warned.
+        sidecars = {}
+        for d in (1, 3):
+            out = tmp_path / f"emb{d}.csv"
+            rc = run(
+                "embed", "--generator", "ring", "--n", "16", "--k", "2", "--d", str(d),
+                "--method", "classical", "--out", str(out),
+            )
+            assert rc == 0
+            sidecars[d] = json.loads(out.with_suffix(".json").read_text())
+        alpha = sidecars[3]["alpha"]
+        assert alpha["mean"] == pytest.approx(1.0, abs=1e-12)
+        assert alpha["min"] <= alpha["mean"] <= alpha["max"]
+        assert sidecars[3]["r_max"] == sidecars[1]["r_max"]
+        assert sidecars[3]["gap_warnings"] == list(range(16))
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []

@@ -274,19 +274,20 @@ class TestObjectiveValueCheck:
         assert 0.0 < result.phi_z_over_n < np.inf
 
     def test_weights_without_a_rank_split_are_refused_before_phi(self, monkeypatch):
-        # Classical weights assembled with d >= K carry no spectra.
+        # Classical weights assembled with d >= K discard nothing, so their
+        # spectra hold no lambda_{d+1}.
         sample = gen_swissroll(300, seed=0)
         W, spectra = assemble_weight_matrix(
             sample.points, knn(sample.points, 12), "classical", d=12
         )
-        assert spectra is None
+        assert spectra.d == 12
 
         def refusing_phi(*args):
             raise AssertionError("phi ran")
 
         monkeypatch.setattr("ldrlle.diagnostics.phi", refusing_phi)
         with pytest.raises(ValueError, match="rank-d split"):
-            theorem2_check_from_parts(sample.preimage, W, None)
+            theorem2_check_from_parts(sample.preimage, W, spectra)
 
     def test_permuted_null_deterministic(self):
         sample = gen_open_ring(32)

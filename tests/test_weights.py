@@ -406,10 +406,16 @@ class TestAssembly:
         assert spectra.alpha.max() < 1.0
 
     def test_classical_skips_spectra_when_no_split_exists(self, rng):
+        # d >= K splits nothing off, yet the record is returned: the same
+        # singular values and radii as at any d, with every row gap-warned.
         X = rng.normal(size=(10, 3))
         graph = knn(X, 2)
         W, spectra = assemble_weight_matrix(X, graph, "classical", d=5)
-        assert spectra is None
+        _, at_one = assemble_weight_matrix(X, graph, "classical", d=1)
+        assert spectra.d == 5
+        np.testing.assert_array_equal(spectra.singular_values, at_one.singular_values)
+        np.testing.assert_array_equal(spectra.radius, at_one.radius)
+        assert spectra.gap_warning.all()
         assert W.shape == (10, 10)
 
     def test_failures_name_the_point(self):
@@ -552,6 +558,34 @@ def test_ranks_past_the_thin_rank_are_the_thin_rank():
         np.testing.assert_array_equal(spectra.alpha, spectra3.alpha)
         assert spectra.gap_warning.all()
         np.testing.assert_array_equal(ldr_weights(rows, d), ldr_weights(rows, 3))
+
+
+@pytest.mark.parametrize("method", ["classical", "ldr"])
+@pytest.mark.parametrize("cloud", ["swissroll", "gaussian"])
+def test_spectra_exist_at_every_rank(method, cloud):
+    # K > D (m = 3 < K = 12) and K <= D (m = K = 4).  The ldr weights refuse
+    # d >= K; the classical ones take every d >= 1.
+    if cloud == "swissroll":
+        X, K = gen_swissroll(300, seed=0).points, 12
+    else:
+        X, K = np.random.default_rng(5).normal(size=(40, 6)), 4
+    m = min(K, X.shape[1])
+    graph = knn(X, K)
+    last = K + 2 if method == "classical" else K - 1
+    records = {d: assemble_weight_matrix(X, graph, method, d=d)[1]
+               for d in range(1, last + 1)}
+    for d, spectra in records.items():
+        assert spectra.d == d
+        np.testing.assert_array_equal(spectra.singular_values, records[1].singular_values)
+        np.testing.assert_array_equal(spectra.radius, records[1].radius)
+        if d >= m:
+            np.testing.assert_array_equal(spectra.alpha, records[m].alpha)
+        if d > m or d >= K:
+            assert spectra.gap_warning.all()
+    message = "d must be >= 1" if method == "classical" else "need 1 <= d < K"
+    for d in (0, -1):
+        with pytest.raises(ValueError, match=message):
+            assemble_weight_matrix(X, graph, method, d=d)
 
 
 class TestAssemblyCost:
@@ -716,6 +750,28 @@ class TestWeightSerialization:
             i, j, v = line.split(",")
             rebuilt[int(i), int(j)] = float(v)
         np.testing.assert_array_equal(rebuilt, W.toarray())
+
+    def test_dumps_convert_their_rows_block_by_block(self, tmp_path):
+        # 96,000 entries: as three whole .tolist() lists the W dump traced a
+        # 10.5 MiB peak.  8000 points span two blocks, so the rows on both
+        # sides of a boundary are checked too.
+        X = gen_swissroll(8000, seed=11).points
+        W, spectra = assemble_weight_matrix(X, knn(X, 12), "ldr", d=2)
+        path = tmp_path / "w.csv"
+        tracemalloc.start()
+        try:
+            save_weight_matrix(W, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        coo = W.tocoo()
+        rows = zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
+        assert path.read_text() == "".join("%s,%s,%s\n" % row for row in rows)
+        save_spectra(spectra, path)
+        table = np.column_stack([spectra.singular_values, spectra.alpha, spectra.radius])
+        assert path.read_text() == "".join(
+            ",".join(map(str, [i, *row])) + "\n" for i, row in enumerate(table.tolist()))
 
     def test_spectra_rows(self, tmp_path, ring16, ring16_graph):
         _, spectra = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
