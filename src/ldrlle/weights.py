@@ -33,6 +33,8 @@ of its first failing row i, named by the kernel's label, a format string: the
 message starts with label.format(i) + ": " and point_index is i.  The public
 solvers pass "point {}" for a stack, as assembly does, and None for one
 neighborhood, whose error then has no prefix and point_index None.
+Assembly runs the kernels on one block of BLOCK points at a time and passes
+the index of the block's first point, so i is the point's index in the cloud.
 """
 
 from dataclasses import dataclass
@@ -68,9 +70,10 @@ GENERAL_POSITION_TOL = 1e-12
 # Relative spectral-gap floor below which the rank-d split is flagged.
 GAP_WARN_REL = 1e-6
 
-# Rows a dump converts to Python scalars at a time, so no dump holds its table
-# as Python lists.
-DUMP_BLOCK = 4096
+# Points assembly solves at a time, so no stack of the whole cloud's
+# neighborhoods is held, and rows a dump converts to Python scalars at a time,
+# so no dump holds its table as Python lists.
+BLOCK = 4096
 
 @dataclass
 class Spectra:
@@ -167,13 +170,13 @@ def _filtered(U: np.ndarray, f: np.ndarray):
     return w, (g[:, None, :] @ c[:, :, None])[:, 0, 0] + K * tail
 
 
-def _ldr(U: np.ndarray, d: int, label) -> np.ndarray:
+def _ldr(U: np.ndarray, d: int, label, first: int = 0) -> np.ndarray:
     """Stacked w = U2 U2' 1 / (1' U2 U2' 1), the filter [j >= d].
 
     U2 spans the discarded directions, so U2 U2' 1 = 1 - U1 (U1' 1): on the
     thin basis, w = (1 - U1 c1) / (K - ||c1||^2) when m < K.  A row out of
     general position raises GeneralPositionError named by label (see
-    _row_error)."""
+    _row_error), with first the index of the stack's first row."""
     K = U.shape[1]
     if not 1 <= d < K:
         raise ValueError(f"need 1 <= d < K = {K}, got d = {d}")
@@ -183,7 +186,7 @@ def _ldr(U: np.ndarray, d: int, label) -> np.ndarray:
         i = int(np.argmax(bad))
         alpha = 1.0 - float(total[i]) / K
         raise _row_error(
-            GeneralPositionError, label, i,
+            GeneralPositionError, label, first + i,
             f"projected neighborhood is not in general position "
             f"(1'U2U2'1 = {total[i]:.3e}, alpha = {alpha:.6f})",
             alpha=alpha,
@@ -192,7 +195,7 @@ def _ldr(U: np.ndarray, d: int, label) -> np.ndarray:
 
 
 def _classical(U: np.ndarray, lam: np.ndarray, delta: float, label,
-               pinv_singular: bool = False) -> np.ndarray:
+               pinv_singular: bool = False, first: int = 0) -> np.ndarray:
     """Stacked classical weights: (G + delta_eff I)^-1 1, normalized.
 
     With delta = 0, a row whose Gram matrix is singular to working precision
@@ -200,7 +203,7 @@ def _classical(U: np.ndarray, lam: np.ndarray, delta: float, label,
     the pseudo-inverse solution G^+ 1, which drops the directions with
     lambda_j <= K eps lambda_1 and equals G^-1 1 where G is nonsingular.  A
     singular row, or one whose weights sum to zero, raises its error named by
-    label (see _row_error).
+    label (see _row_error), with first the index of the stack's first row.
     """
     if not 0.0 <= delta < np.inf:
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
@@ -217,7 +220,7 @@ def _classical(U: np.ndarray, lam: np.ndarray, delta: float, label,
         if singular.any():
             i = int(np.argmax(singular))
             raise _row_error(
-                SingularNeighborhoodError, label, i,
+                SingularNeighborhoodError, label, first + i,
                 f"Gram matrix is singular to working precision (rcond = {rcond[i]:.2e}); "
                 "pass delta > 0 or use the rank-d method",
                 rcond=float(rcond[i]),
@@ -229,7 +232,7 @@ def _classical(U: np.ndarray, lam: np.ndarray, delta: float, label,
     w, total = _filtered(U, f)
     bad = total <= 1e-14 * np.abs(w).sum(axis=1)
     if bad.any():
-        raise _row_error(DegenerateWeightsError, label, int(np.argmax(bad)),
+        raise _row_error(DegenerateWeightsError, label, first + int(np.argmax(bad)),
                          "weight vector sums to zero; normalization undefined")
     return w / total[:, None]
 
@@ -283,6 +286,22 @@ def ldr_weights(rows, d: int) -> np.ndarray:
     return _per_row(lambda U, lam, label: _ldr(U, d, label), rows)
 
 
+def _block(X: np.ndarray, graph: np.ndarray, first: int, method: str, d: int,
+           delta: float):
+    """Weights, singular values, radii and alpha of points first to
+    first + BLOCK - 1, from their own gathered and centered rows.  The rows
+    and their basis end with the call, so assembly holds one block's."""
+    rows = X[graph[first:first + BLOCK]]
+    rows -= X[first:first + BLOCK, None, :]
+    U, lam, radius = _svd(rows)
+    if method == "ldr":
+        data = _ldr(U, d, "point {}", first)
+    else:
+        data = _classical(U, lam, delta, "point {}", first=first)
+    K = U.shape[1]
+    return data, lam, radius, _sqnorm(np.ones(K) @ U[:, :, :d]) / K
+
+
 def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
                            delta: float = DEFAULT_DELTA):
     """Solve every point's weights and assemble the sparse N x N row-stochastic W.
@@ -292,11 +311,12 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     delta) or "ldr" (rank-d representation weights).  One SVD per
     neighborhood feeds both the weights and the spectra, which are computed
     for every point regardless of method, so callers can report alpha,
-    singular values, radii, and gap warnings.  Classical weights take any
-    d >= 1: at d >= K nothing is discarded and every spectra row is
-    gap-warned, while the ldr weights refuse d outside [1, K).  A d below 1
-    raises ValueError, after the ldr weights' own check; a d that is not an
-    integer (2.0) raises TypeError.
+    singular values, radii, and gap warnings.  The points are solved BLOCK
+    at a time, so no stack of the whole cloud's neighborhoods is held.
+    Classical weights take any d >= 1: at d >= K nothing is discarded and
+    every spectra row is gap-warned, while the ldr weights refuse d outside
+    [1, K).  A d below 1 raises ValueError, after the ldr weights' own check;
+    a d that is not an integer (2.0) raises TypeError.
 
     Returns (W, spectra) with W in CSR format, row i carrying point i's
     weights on its neighbor columns, and spectra a Spectra record.  A
@@ -323,26 +343,27 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
         raise ValueError(f"neighbor graph row {int(np.argmax(outside))} has an index "
                          f"outside [0, {n})")
     check_extent(X)
-    rows = X[graph]
-    rows -= X[:, None, :]
-    U, lam, radius = _svd(rows)
-    data = _ldr(U, d, "point {}") if method == "ldr" else _classical(U, lam, delta, "point {}")
+    # Blocks run in ascending order and each kernel raises for its own first
+    # failing row, so the point named is still the cloud's first failing one.
+    blocks = [_block(X, graph, first, method, d, delta) for first in range(0, n, BLOCK)]
+    data, lam, radius, alpha = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+    del blocks  # the joined arrays are copies; drop the blocks before the CSR
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     # At d >= K the pair clips to (lambda_K, lambda_K): a zero gap, so every row is flagged.
     pair = np.take(lam, [d - 1, d], axis=1, mode="clip")
     top = lam[:, 0]
     gap = (top <= 0.0) | ((pair[:, 0] - pair[:, 1]) / np.where(top > 0.0, top, 1.0) < GAP_WARN_REL)
-    spectra = Spectra(lam, _sqnorm(np.ones(K) @ U[:, :, :d]) / K, radius, gap, d)
+    spectra = Spectra(lam, alpha, radius, gap, d)
     indptr = np.arange(0, n * K + 1, K)
     W = sparse.csr_matrix((data.ravel(), graph.ravel().copy(), indptr), shape=(n, n))
     return W, spectra
 
 
 def _rows(a: np.ndarray):
-    """The rows of a as Python scalars (.tolist()), DUMP_BLOCK rows at a time."""
-    for start in range(0, len(a), DUMP_BLOCK):
-        yield from a[start:start + DUMP_BLOCK].tolist()
+    """The rows of a as Python scalars (.tolist()), BLOCK rows at a time."""
+    for start in range(0, len(a), BLOCK):
+        yield from a[start:start + BLOCK].tolist()
 
 
 def save_weight_matrix(W, path) -> None:

@@ -27,6 +27,7 @@ from ldrlle import (
     save_spectra,
     save_weight_matrix,
 )
+from ldrlle.weights import BLOCK, _classical, _ldr, _sqnorm, _svd
 from oracles import (
     constrained_lsq_weights,
     exact_gram_weights,
@@ -603,6 +604,20 @@ class TestAssemblyCost:
                 tracemalloc.stop()
             assert peak < 12 * 2**20, method
 
+    def test_traced_peak_is_bounded_by_the_block(self):
+        # With the whole (N, K, D) stack gathered at once, assembly peaked at
+        # 35.6 (ldr) and 37.2 MiB (classical) here; one block's stack is 1.1 MiB.
+        X = gen_swissroll(32000, seed=11).points
+        graph = knn(X, 12)
+        for method in ("ldr", "classical"):
+            tracemalloc.start()
+            try:
+                assemble_weight_matrix(X, graph, method, d=2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, method
+
     def test_one_thin_svd_per_call(self, monkeypatch, ring16, ring16_graph):
         calls = []
         svd = np.linalg.svd
@@ -623,6 +638,65 @@ class TestAssemblyCost:
                 calls.clear()
                 solve(neighborhoods)
                 assert calls == [{"full_matrices": False}]
+
+
+class TestBlocks:
+    """Assembly solves BLOCK points at a time and gives the bits and errors of
+    one stack of the whole cloud."""
+
+    @staticmethod
+    def chain(singular):
+        """2 BLOCK + 500 random points in R^3, each with the next two as its
+        K = 2 neighbors, and each point of singular given collinear ones."""
+        n = 2 * BLOCK + 500
+        X = np.random.default_rng(4).normal(size=(n, 3))
+        graph = (np.arange(n)[:, None] + np.arange(1, 3)) % n
+        for i in singular:
+            X[i + 2] = X[i] + 2.0 * (X[i + 1] - X[i])
+        return X, graph
+
+    @pytest.mark.parametrize("i", [BLOCK, 2 * BLOCK + 123])
+    def test_error_past_the_first_block_names_the_global_point(self, i):
+        X, graph = self.chain([i])
+        with pytest.raises(SingularNeighborhoodError) as excinfo:
+            assemble_weight_matrix(X, graph, "classical", d=1, delta=0.0)
+        assert str(excinfo.value).startswith(f"point {i}: ")
+        assert excinfo.value.point_index == i
+
+    @pytest.mark.parametrize("i", [BLOCK, 2 * BLOCK + 123])
+    def test_first_block_error_comes_first(self, i):
+        X, graph = self.chain([17, i])
+        with pytest.raises(SingularNeighborhoodError) as excinfo:
+            assemble_weight_matrix(X, graph, "classical", d=1, delta=0.0)
+        assert str(excinfo.value).startswith("point 17: ")
+        assert excinfo.value.point_index == 17
+
+    @pytest.fixture(scope="class")
+    def roll(self):
+        X = gen_swissroll(2 * BLOCK + 1, seed=11).points
+        return X, knn(X, 12)
+
+    @pytest.mark.parametrize("method", ["classical", "ldr"])
+    @pytest.mark.parametrize("d", [1, 2, 11])
+    def test_blocks_change_no_bit(self, roll, method, d):
+        X, graph = roll
+        n, K = graph.shape
+        U, lam, radius = _svd(X[graph] - X[:, None])
+        if method == "ldr":
+            data = _ldr(U, d, "point {}")
+        else:
+            data = _classical(U, lam, DEFAULT_DELTA, "point {}")
+        top = lam[:, 0]
+        gap = (top <= 0.0) | ((lam[:, d - 1] - lam[:, d]) / np.where(top > 0.0, top, 1.0) < 1e-6)
+        W, spectra = assemble_weight_matrix(X, graph, method, d=d)
+        np.testing.assert_array_equal(W.data, data.ravel())
+        np.testing.assert_array_equal(W.indices, graph.ravel())
+        np.testing.assert_array_equal(W.indptr, np.arange(0, n * K + 1, K))
+        np.testing.assert_array_equal(spectra.singular_values, lam)
+        np.testing.assert_array_equal(spectra.alpha, _sqnorm(np.ones(K) @ U[:, :, :d]) / K)
+        np.testing.assert_array_equal(spectra.radius, radius)
+        np.testing.assert_array_equal(spectra.gap_warning, gap)
+        assert spectra.d == d
 
 
 @pytest.mark.parametrize("method", ["classical", "ldr"])
