@@ -7,7 +7,6 @@ neighbor graph, 4 general-position violation, 5 numerical failure.
 import argparse
 import dataclasses
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -178,10 +177,12 @@ def cmd_perturb(args) -> int:
     payload = {**diagnostics.perturbation_report_dict(reports), "config": config}
     datasets.write_json(payload, args.out)
     if args.csv is not None:
-        datasets.write_rows(chain([("epsilon", "trial", "classical", "ldr")], (
-            (r.epsilon, t, *pair) for r in reports for t, pair in
-            enumerate(np.column_stack([r.distances_classical, r.distances_ldr]).tolist())
-        )), args.csv)
+        datasets.write_rows([
+            np.repeat([r.epsilon for r in reports], args.trials),
+            np.tile(np.arange(args.trials), len(reports)),
+            np.concatenate([r.distances_classical for r in reports]),
+            np.concatenate([r.distances_ldr for r in reports]),
+        ], args.csv, header=("epsilon", "trial", "classical", "ldr"))
 
     for row in payload["reports"]:
         print(

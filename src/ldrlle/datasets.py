@@ -11,7 +11,6 @@ pair reproduces bit-identically across runs.
 import json
 import operator
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +37,11 @@ __all__ = [
 # point spacings at n = 16, so Euclidean neighborhoods (K <= 4) never jump
 # the opening and arc length stays recoverable from the graph.
 RING_ARC = 1.5 * np.pi
+
+# Rows write_rows converts to Python scalars at a time, so no CSV writer holds
+# its table as Python lists, and points weight assembly solves at a time, so
+# no stack of the whole cloud's neighborhoods is held.
+BLOCK = 4096
 
 
 def validate_cloud(data) -> np.ndarray:
@@ -160,23 +164,25 @@ def generate(name: str, n: int, seed: int = 0) -> GeneratedSample:
     return GENERATORS[name](n, seed)
 
 
-def write_rows(rows, path) -> None:
+def write_rows(columns, path, header=()) -> None:
     """One comma-joined line per row: the writer of every CSV file in the package.
 
-    Every row has the first row's width, so one "%s,...,%s" format, which
-    applies str to each cell, writes them all; a float's str is its shortest
-    round-trip repr.  Callers pass rows of Python scalars (from .tolist()):
-    "%s" gives a numpy scalar the same text, but formats it 1.4-1.8x slower.
-    Each line is written as it is formatted, so the writer holds one line,
-    never the file's text.  A row that cannot be formatted therefore leaves
-    the file holding the rows before it; every caller passes rows of one
-    width, so none can."""
-    rows = iter(rows)
-    first = next(rows, None)
+    columns is a non-empty sequence of 1-D arrays of one length; row i holds
+    their i-th entries, after one header line when header is given.  Each
+    column is converted to Python scalars (.tolist()) BLOCK rows at a time,
+    so no writer holds its table as Python lists; "%s" gives a numpy scalar
+    the same text, but formats it 1.4-1.8x slower.  One "%s,...,%s" format,
+    which applies str to each cell, writes every row; a float's str is its
+    shortest round-trip repr.  Each line is written as it is formatted, so
+    the writer never holds the file's text."""
+    line = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w") as f:
-        if first is not None:
-            line = ",".join(["%s"] * len(first)) + "\n"
-            f.writelines(line % tuple(row) for row in chain([first], rows))
+        if header:
+            f.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), BLOCK):
+            # One expression, so a block's lists are freed before the next block's are made.
+            f.writelines(line % row
+                         for row in zip(*[c[start:start + BLOCK].tolist() for c in columns]))
 
 
 def write_json(payload, path) -> None:
@@ -196,7 +202,7 @@ def save_csv(cloud, path) -> None:
     Cells use repr of the float, the shortest string that round-trips, so a
     save/load cycle reproduces the array exactly.
     """
-    write_rows(validate_cloud(cloud).tolist(), path)
+    write_rows(validate_cloud(cloud).T, path)
 
 
 def load_csv(path) -> np.ndarray:

@@ -250,4 +250,4 @@ def save_embedding(emb: Embedding, path, metadata: dict | None = None) -> None:
     }
     Y = validate_cloud(emb.Y)
     write_json(sidecar, sidecar_path(path))
-    write_rows(Y.tolist(), path)
+    write_rows(Y.T, path)

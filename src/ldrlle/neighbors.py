@@ -96,4 +96,4 @@ def knn(cloud, K: int) -> np.ndarray:
 
 def save_neighbor_graph(graph, path) -> None:
     """Write an (N, K) neighbor index array as integer CSV, one row per point."""
-    write_rows(np.asarray(graph).tolist(), path)
+    write_rows(np.asarray(graph).T, path)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import as_int, validate_cloud, write_rows
+from .datasets import BLOCK, as_int, validate_cloud, write_rows
 from .errors import DegenerateWeightsError, GeneralPositionError, SingularNeighborhoodError
 from .neighbors import check_extent
 
@@ -70,10 +70,6 @@ GENERAL_POSITION_TOL = 1e-12
 # Relative spectral-gap floor below which the rank-d split is flagged.
 GAP_WARN_REL = 1e-6
 
-# Points assembly solves at a time, so no stack of the whole cloud's
-# neighborhoods is held, and rows a dump converts to Python scalars at a time,
-# so no dump holds its table as Python lists.
-BLOCK = 4096
 
 @dataclass
 class Spectra:
@@ -360,21 +356,15 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     return W, spectra
 
 
-def _rows(a: np.ndarray):
-    """The rows of a as Python scalars (.tolist()), BLOCK rows at a time."""
-    for start in range(0, len(a), BLOCK):
-        yield from a[start:start + BLOCK].tolist()
-
-
 def save_weight_matrix(W, path) -> None:
     """Write W as coordinate-format text: one "i,j,value" line per entry."""
     import scipy.sparse as sparse
 
     coo = sparse.coo_matrix(W)
-    write_rows(zip(_rows(coo.row), _rows(coo.col), _rows(coo.data)), path)
+    write_rows([coo.row, coo.col, coo.data], path)
 
 
 def save_spectra(spectra: Spectra, path) -> None:
     """Write spectra as CSV rows: point index, lambda_1..lambda_K, alpha, radius."""
-    table = np.column_stack([spectra.singular_values, spectra.alpha, spectra.radius])
-    write_rows(([i, *row] for i, row in enumerate(_rows(table))), path)
+    n = len(spectra.alpha)
+    write_rows([np.arange(n), *spectra.singular_values.T, spectra.alpha, spectra.radius], path)

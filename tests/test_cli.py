@@ -330,7 +330,7 @@ class TestEmbed:
         assert "its own sidecar path" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_spectra_dump_without_a_rank_split_is_refused(self, tmp_path):
+    def test_spectra_dump_without_a_rank_split_is_written(self, tmp_path):
         # Classical weights at d >= K discard nothing, yet the record is
         # total, so the dump is written: one row of K + 3 fields per point.
         rc = run(
@@ -343,7 +343,7 @@ class TestEmbed:
 
     @pytest.mark.parametrize("source", [["--generator", "ring", "--n", "16"],
                                         ["--input", "ring.csv"]], ids=["generator", "input"])
-    def test_spectra_dump_without_a_rank_split_is_refused_before_any_work(
+    def test_spectra_dump_at_d_equal_to_k_is_written_from_either_source(
             self, source, tmp_path, monkeypatch):
         # From either source, d = K is a run like any other.
         monkeypatch.chdir(tmp_path)
@@ -430,7 +430,7 @@ class TestEmbed:
         assert np.cos(subspace_angles(*Ys)).min() >= 0.9999
         assert r_max[1] == pytest.approx(1e-170 * r_max[0], rel=1e-12)
 
-    def test_classical_run_without_a_rank_split_records_null_spectra(self, tmp_path):
+    def test_classical_run_without_a_rank_split_records_its_spectra(self, tmp_path):
         # At d >= K the sidecar records the spectra as at any d: K = D = 2, so
         # the retained span is the whole neighborhood, and every row is gap-warned.
         sidecars = {}

@@ -3,6 +3,7 @@
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,19 +14,26 @@ from hypothesis.extra import numpy as hnp
 from ldrlle import (
     CsvFormatError,
     GENERATORS,
+    assemble_weight_matrix,
+    embed,
     gen_open_ring,
     gen_scurve,
     gen_swissroll,
     generate,
+    knn,
     load_csv,
     preimage_path,
     save_csv,
+    save_embedding,
+    save_neighbor_graph,
     save_sample,
+    save_spectra,
+    save_weight_matrix,
     scurve_map,
     swissroll_map,
     validate_cloud,
 )
-from ldrlle.datasets import as_columns, write_rows
+from ldrlle.datasets import BLOCK, as_columns, write_rows
 
 
 class TestValidateCloud:
@@ -259,51 +267,94 @@ class TestCsvRoundTrip:
             np.testing.assert_array_equal(load_csv(path), arr)
 
 
+@pytest.fixture(scope="module")
+def across_blocks():
+    """A classical run on 2 BLOCK + 1 points: each writer converts three
+    blocks, the last of one row, and must give the bytes of one whole-table
+    conversion."""
+    X = gen_swissroll(2 * BLOCK + 1, seed=11).points
+    graph = knn(X, 12)
+    W, spectra = assemble_weight_matrix(X, graph, "classical", d=2)
+    return SimpleNamespace(X=X, graph=graph, W=W, coo=W.tocoo(), spectra=spectra,
+                           emb=embed(W, 2))
+
+
+# Each writer, and its table's rows from one whole-table .tolist().
+WRITERS = {
+    "cloud": (lambda run, path: save_csv(run.X, path), lambda run: run.X.tolist()),
+    "graph": (lambda run, path: save_neighbor_graph(run.graph, path),
+              lambda run: run.graph.tolist()),
+    "Y": (lambda run, path: save_embedding(run.emb, path), lambda run: run.emb.Y.tolist()),
+    "spectra": (lambda run, path: save_spectra(run.spectra, path), lambda run: [
+        [i, *row] for i, row in enumerate(np.column_stack(
+            [run.spectra.singular_values, run.spectra.alpha, run.spectra.radius]).tolist())]),
+    "W": (lambda run, path: save_weight_matrix(run.W, path),
+          lambda run: zip(run.coo.row.tolist(), run.coo.col.tolist(), run.coo.data.tolist())),
+}
+
+
 class TestWriteRows:
     # The writer formats each line with one "%s,...,%s" string; it must give
-    # the bytes of the plain str-and-join expression it replaced.
+    # the bytes of the plain str-and-join expression over the table's rows of
+    # Python scalars.
     @staticmethod
     def joined(rows):
         return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
     @pytest.mark.parametrize("rows", [
-        [[0, -0.0, 5e-324, 1e16, 1e-5], [7, 0.1, -2.5e-300, 1.7976931348623157e308, 3]],
-        [("epsilon", "trial", "classical", "ldr"), (1e-2, 0, 0.25, 1e-17)],
-        [[1], [-0.0], [5e-324]],
-        [[]],
-        [],
+        [[0, -0.0, 5e-324, 1e16, 1e-5], [7, 0.1, -2.5e-300, 1.7976931348623157e308, 3.0]],
+        [(1e-2, 0, 0.25, 1e-17)],
+        [[1.0], [-0.0], [5e-324]],
     ])
     def test_bytes_match_the_joined_strings(self, tmp_path, rows):
         path = tmp_path / "rows.csv"
-        write_rows(rows, path)
+        write_rows([np.array(column) for column in zip(*rows)], path)
         assert path.read_bytes() == self.joined(rows).encode()
 
-    def test_takes_a_one_pass_iterator(self, tmp_path):
-        rows = [(0, 1, 0.5), (1, 0, -0.0), (2, 2, 1e-5)]
-        path = tmp_path / "zip.csv"
-        write_rows(zip(*map(list, zip(*rows))), path)
-        assert path.read_text() == self.joined(rows)
+    def test_header_is_the_first_line(self, tmp_path):
+        path = tmp_path / "header.csv"
+        write_rows([np.array([1e-2]), np.array([0]), np.array([0.25]), np.array([1e-17])], path,
+                   header=("epsilon", "trial", "classical", "ldr"))
+        assert path.read_text() == "epsilon,trial,classical,ldr\n0.01,0,0.25,1e-17\n"
 
     def test_empty_row_set_writes_an_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_rows(iter(()), path)
+        write_rows([np.array([]), np.array([], dtype=int)], path)
         assert path.read_bytes() == b""
 
     def test_holds_one_line_not_the_file(self, tmp_path):
         # These rows make a 4.9 MiB file; joining its text before writing it
         # traced a 20.6 MiB peak.
-        def rows():
-            return ((i, i % 12, (i + 0.5) / 7.0) for i in range(200_000))
-
+        i = np.arange(200_000)
+        columns = [i, i % 12, (i + 0.5) / 7.0]
         path = tmp_path / "big.csv"
         tracemalloc.start()
         try:
-            write_rows(rows(), path)
+            write_rows(columns, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert path.read_bytes() == self.joined(rows()).encode()
+        assert path.read_bytes() == self.joined(zip(*[c.tolist() for c in columns])).encode()
+
+    @pytest.mark.parametrize("save, rows", WRITERS.values(), ids=WRITERS)
+    def test_every_writer_matches_the_whole_table_across_blocks(
+            self, tmp_path, across_blocks, save, rows):
+        path = tmp_path / "table.csv"
+        save(across_blocks, path)
+        assert path.read_text() == self.joined(rows(across_blocks))
+
+    def test_neighbor_graph_peak_does_not_grow_with_n(self, tmp_path):
+        # Converting the whole (32000, 12) graph with one .tolist() traced a
+        # 16.5 MiB peak; a block at a time holds about 1.9 MiB.
+        graph = knn(gen_swissroll(32_000, seed=11).points, 12)
+        tracemalloc.start()
+        try:
+            save_neighbor_graph(graph, tmp_path / "graph.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSampleFiles:

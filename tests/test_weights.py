@@ -406,7 +406,7 @@ class TestAssembly:
         assert spectra.alpha.shape == (500,)
         assert spectra.alpha.max() < 1.0
 
-    def test_classical_skips_spectra_when_no_split_exists(self, rng):
+    def test_classical_returns_spectra_when_no_split_exists(self, rng):
         # d >= K splits nothing off, yet the record is returned: the same
         # singular values and radii as at any d, with every row gap-warned.
         X = rng.normal(size=(10, 3))
