@@ -167,8 +167,9 @@ def generate(name: str, n: int, seed: int = 0) -> GeneratedSample:
 def write_rows(columns, path, header=()) -> None:
     """One comma-joined line per row: the writer of every CSV file in the package.
 
-    columns is a non-empty sequence of 1-D arrays of one length; row i holds
-    their i-th entries, after one header line when header is given.  Each
+    columns is a sequence of 1-D arrays of one length; row i holds their
+    i-th entries, after one header line when header is given.  No columns
+    means no rows, as zip(*rows) of no rows gives no columns.  Each
     column is converted to Python scalars (.tolist()) BLOCK rows at a time,
     so no writer holds its table as Python lists; "%s" gives a numpy scalar
     the same text, but formats it 1.4-1.8x slower.  One "%s,...,%s" format,
@@ -179,7 +180,7 @@ def write_rows(columns, path, header=()) -> None:
     with open(path, "w") as f:
         if header:
             f.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), BLOCK):
+        for start in range(0, len(columns[0]) if len(columns) else 0, BLOCK):
             # One expression, so a block's lists are freed before the next block's are made.
             f.writelines(line % row
                          for row in zip(*[c[start:start + BLOCK].tolist() for c in columns]))
