@@ -127,19 +127,19 @@ def perturbation_experiment(epsilons=DEFAULT_EPSILONS, trials: int = DEFAULT_TRI
     with fewer trials is a prefix of one with more.  A trial whose classical
     weights sum to zero raises DegenerateWeightsError, and one whose projected
     neighborhood leaves general position GeneralPositionError; either message
-    starts "epsilon e, trial t: ", with the trial as point_index.  An epsilon
-    that is not finite and positive raises theorem1_bound's ValueError before
-    its SVD.
+    starts "epsilon e, trial t: ", with the trial as point_index.  Every
+    epsilon is checked before the noise draw and the first SVD: one that is
+    not finite and positive raises theorem1_bound's ValueError.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    bounds = [(eps, theorem1_bound(CROSS_LAMBDA1, 0.0, eps)) for eps in epsilons]
     base = grid_cross_neighborhood()
     uniform = np.full(4, 0.25)
     noise = np.random.default_rng(seed).standard_normal((trials, 4, 4))
     noise /= np.sqrt(_sqnorm(noise.reshape(trials, 16)))[:, None, None]
     reports = []
-    for eps in epsilons:
-        bound = theorem1_bound(CROSS_LAMBDA1, 0.0, eps)
+    for eps, bound in bounds:
         U, lam, _ = _svd(base + eps * noise)
         label = f"epsilon {eps:g}, trial {{}}"
         w_cl = _classical(U, lam, 0.0, label, pinv_singular=True)

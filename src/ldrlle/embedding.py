@@ -134,6 +134,9 @@ def embed(W, d: int) -> Embedding:
     ------
     TypeError
         when d is not an integer (2.0), before anything else.
+    ValueError
+        when W is not square, or d is outside [1, N - 2], before I - W is
+        formed.
     DisconnectedGraphError
         when W has more than one closed class: a strongly connected
         component of its nonzero pattern that no weight leaves.  Each closed
@@ -152,11 +155,11 @@ def embed(W, d: int) -> Embedding:
     n = W.shape[0]
     if W.shape[1] != n:
         raise ValueError(f"W must be square, got shape {W.shape}")
-    A = sparse.eye(n, format="csr") - W
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if d > n - 2:
         raise ValueError(f"d must be <= N - 2 = {n - 2}, got {d}")
+    A = sparse.eye(n, format="csr") - W
 
     # A has W's nonzero pattern plus the diagonal (sparse subtraction stores
     # no zeros), and a diagonal entry joins a class only to itself.

@@ -310,9 +310,11 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     singular values, radii, and gap warnings.  The points are solved BLOCK
     at a time, so no stack of the whole cloud's neighborhoods is held.
     Classical weights take any d >= 1: at d >= K nothing is discarded and
-    every spectra row is gap-warned, while the ldr weights refuse d outside
-    [1, K).  A d below 1 raises ValueError, after the ldr weights' own check;
-    a d that is not an integer (2.0) raises TypeError.
+    every spectra row is gap-warned, while the ldr weights refuse d >= K.
+    Both d checks run before any neighborhood is solved: a d that is not an
+    integer (2.0) raises TypeError and a d below 1 ValueError at entry,
+    before the cloud is read, and the ldr weights' d >= K raises ValueError
+    on the first block's SVD, before any of its weights.
 
     Returns (W, spectra) with W in CSR format, row i carrying point i's
     weights on its neighbor columns, and spectra a Spectra record.  A
@@ -322,6 +324,8 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     import scipy.sparse as sparse
 
     d = as_int(d, "d")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     X = validate_cloud(cloud)
     if method not in ("classical", "ldr"):
         raise ValueError(f"unknown method {method!r}; expected 'classical' or 'ldr'")
@@ -341,11 +345,8 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     check_extent(X)
     # Blocks run in ascending order and each kernel raises for its own first
     # failing row, so the point named is still the cloud's first failing one.
-    blocks = [_block(X, graph, first, method, d, delta) for first in range(0, n, BLOCK)]
-    data, lam, radius, alpha = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
-    del blocks  # the joined arrays are copies; drop the blocks before the CSR
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    data, lam, radius, alpha = map(np.concatenate, zip(*[
+        _block(X, graph, first, method, d, delta) for first in range(0, n, BLOCK)]))
     # At d >= K the pair clips to (lambda_K, lambda_K): a zero gap, so every row is flagged.
     pair = np.take(lam, [d - 1, d], axis=1, mode="clip")
     top = lam[:, 0]

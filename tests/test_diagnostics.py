@@ -225,6 +225,14 @@ class TestPerturbationExperiment:
         with pytest.raises(ValueError, match="epsilon must be finite and > 0"):
             perturbation_experiment(epsilons=(epsilon,), trials=3)
 
+    def test_a_bad_last_epsilon_is_refused_before_the_first_svd(self, monkeypatch):
+        def refusing_svd(*args, **kwargs):
+            raise AssertionError("svd ran before every epsilon was checked")
+
+        monkeypatch.setattr("ldrlle.diagnostics._svd", refusing_svd)
+        with pytest.raises(ValueError, match="epsilon must be finite and > 0, got -1"):
+            perturbation_experiment(epsilons=(1e-2, 1e-4, -1.0), trials=3)
+
 
 class TestObjectiveValueCheck:
     def test_ring_preimage_beats_permuted_null(self):

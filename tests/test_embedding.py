@@ -516,3 +516,17 @@ def test_a_size_that_is_not_an_integer_is_refused_at_entry(call, name, monkeypat
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refusing_eigsh)
     with pytest.raises(TypeError, match=f"{name} must be an integer"):
         call(X, W, graph, 2.0)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize("method", ["classical", "ldr"])
+def test_a_rank_below_one_is_refused_before_any_neighborhood_is_solved(method, d, monkeypatch):
+    X = gen_swissroll(60, seed=1).points
+    graph = knn(X, 8)
+
+    def refusing_svd(*args, **kwargs):
+        raise AssertionError("a neighborhood was solved")
+
+    monkeypatch.setattr("ldrlle.weights._svd", refusing_svd)
+    with pytest.raises(ValueError, match=f"^d must be >= 1, got {d}$"):
+        assemble_weight_matrix(X, graph, method, d=d)
