@@ -86,19 +86,22 @@ def _pipeline_config(args, **fields) -> dict:
 
 
 def _samples(args, flag, sizes, default):
-    """Yield (points, preimage or None): one lazily generated sample per size
-    with --generator, else the --input file once, with --preimage or else the
-    preimage file beside --input when it exists.  The sizes are the caller's
-    size flag's value, or its default when the flag was not given (None); the
-    flag is refused with --input."""
+    """The list of (points, preimage or None) pairs: one generated sample per
+    size with --generator, else the --input file once, with --preimage or
+    else the preimage file beside --input when it exists.  The sizes are the
+    caller's size flag's value, or its default when the flag was not given
+    (None); the flag is refused with --input.  --k and --d are checked as
+    counts first, and every sample is built before the list is returned, so
+    a bad count or size is refused before any input is read or any knn runs."""
+    datasets.as_count(args.k, "K")
+    datasets.as_count(args.d, "d")
     if args.generator is not None:
         if args.preimage is not None:
             raise ValueError("--preimage applies only with --input: "
                              "a generated sample carries its own preimage")
-        for n in default if sizes is None else sizes:
-            sample = datasets.generate(args.generator, n, args.seed)
-            yield sample.points, sample.preimage
-        return
+        samples = [datasets.generate(args.generator, n, args.seed)
+                   for n in (default if sizes is None else sizes)]
+        return [(s.points, s.preimage) for s in samples]
     if sizes is not None:
         raise ValueError(f"{flag} applies only with --generator: an --input CSV sets its size")
     X = datasets.load_csv(args.input)
@@ -107,7 +110,7 @@ def _samples(args, flag, sizes, default):
     preimage = None if pre_path is None else datasets.load_csv(pre_path)
     if preimage is not None and preimage.shape[0] != X.shape[0]:
         raise ValueError(f"preimage has {preimage.shape[0]} rows but input has {X.shape[0]}")
-    yield X, preimage
+    return [(X, preimage)]
 
 
 def cmd_embed(args) -> int:
@@ -128,7 +131,7 @@ def cmd_embed(args) -> int:
         args.seed = 0
     if args.method == "classical" and args.delta is None:
         args.delta = weights.DEFAULT_DELTA
-    X, preimage = next(_samples(args, "--n", None if args.n is None else [args.n], [2000]))
+    [(X, preimage)] = _samples(args, "--n", None if args.n is None else [args.n], [2000])
     graph = neighbors.knn(X, args.k)
     W, spectra = weights.assemble_weight_matrix(
         X, graph, args.method, d=args.d, delta=args.delta
@@ -199,6 +202,7 @@ def cmd_perturb(args) -> int:
 
 def cmd_theorem2(args) -> int:
     _refuse_shared_paths(_inputs(args), [("--out", args.out)])
+    datasets.as_count(args.permutations, "permutations")
     rows = []
     for X, Z in _samples(args, "--n-list", args.n_list, [500, 1000, 2000]):
         if Z is None:

@@ -73,13 +73,17 @@ def as_columns(a) -> np.ndarray:
     return arr[:, None] if arr.ndim == 1 else arr
 
 
-def as_int(value, name: str) -> int:
-    """value as a Python int, through operator.index, so numpy integers pass;
-    anything else, such as 2.0, raises TypeError naming the argument."""
+def as_count(value, name: str) -> int:
+    """value as a Python int of at least 1, through operator.index, so numpy
+    integers pass; anything else, such as 2.0, raises TypeError and a count
+    below 1 ValueError, each naming the argument."""
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    return count
 
 
 @dataclass

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .datasets import as_columns
+from .datasets import as_columns, as_count
 from .embedding import phi
 from .errors import UndefinedCorrelationError
 from .weights import _classical, _ldr, _sqnorm, _svd
@@ -129,10 +129,11 @@ def perturbation_experiment(epsilons=DEFAULT_EPSILONS, trials: int = DEFAULT_TRI
     neighborhood leaves general position GeneralPositionError; either message
     starts "epsilon e, trial t: ", with the trial as point_index.  Every
     epsilon is checked before the noise draw and the first SVD: one that is
-    not finite and positive raises theorem1_bound's ValueError.
+    not finite and positive raises theorem1_bound's ValueError; before that,
+    a trial count that is not an integer raises TypeError and one below 1
+    ValueError.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = as_count(trials, "trials")
     bounds = [(eps, theorem1_bound(CROSS_LAMBDA1, 0.0, eps)) for eps in epsilons]
     base = grid_cross_neighborhood()
     uniform = np.full(4, 0.25)
@@ -233,11 +234,11 @@ def permuted_preimage_null(W, preimage, permutations: int = 20, seed: int = 0) -
     """Median phi(Z_perm)/N over random row permutations of the preimage.
 
     Null scale for the objective when weights and parameters are unrelated;
-    a real preimage should sit far below it.  A preimage whose row count
-    differs from W's raises phi's ValueError.
+    a real preimage should sit far below it.  A permutation count that is
+    not an integer raises TypeError and one below 1 ValueError; a preimage
+    whose row count differs from W's raises phi's ValueError.
     """
-    if permutations < 1:
-        raise ValueError(f"permutations must be >= 1, got {permutations}")
+    permutations = as_count(permutations, "permutations")
     Z = np.asarray(preimage, dtype=float)
     rng = np.random.default_rng(seed)
     n = W.shape[0]

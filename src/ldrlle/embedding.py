@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import as_columns, as_int, validate_cloud, write_json, write_rows
+from .datasets import as_columns, as_count, validate_cloud, write_json, write_rows
 from .errors import DisconnectedGraphError, EigenSolverError
 
 __all__ = [
@@ -135,8 +135,8 @@ def embed(W, d: int) -> Embedding:
     TypeError
         when d is not an integer (2.0), before anything else.
     ValueError
-        when W is not square, or d is outside [1, N - 2], before I - W is
-        formed.
+        when d is below 1, before W's shape is read; when W is not square,
+        or d > N - 2, before I - W is formed.
     DisconnectedGraphError
         when W has more than one closed class: a strongly connected
         component of its nonzero pattern that no weight leaves.  Each closed
@@ -150,13 +150,11 @@ def embed(W, d: int) -> Embedding:
     import scipy.sparse as sparse
     import scipy.sparse.csgraph as csgraph
 
-    d = as_int(d, "d")
+    d = as_count(d, "d")
     W = sparse.csr_matrix(W)
     n = W.shape[0]
     if W.shape[1] != n:
         raise ValueError(f"W must be square, got shape {W.shape}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
     if d > n - 2:
         raise ValueError(f"d must be <= N - 2 = {n - 2}, got {d}")
     A = sparse.eye(n, format="csr") - W

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .datasets import as_int, validate_cloud, write_rows
+from .datasets import as_count, validate_cloud, write_rows
 
 __all__ = [
     "knn",
@@ -27,10 +27,12 @@ def knn(cloud, K: int) -> np.ndarray:
     """Exact K-nearest-neighbor graph as an (N, K) index array.
 
     Row i holds the K nearest neighbors of point i (self excluded) by
-    increasing Euclidean distance.  Requires an integer 1 <= K < N; a K such
-    as 2.0 raises TypeError.  Distances are squared Euclidean (same ordering
-    as Euclidean, cheaper); ties are resolved toward the smaller index, so
-    the result is permutation-checkable and deterministic.
+    increasing Euclidean distance.  Requires an integer 1 <= K < N.  K is
+    checked before the cloud: a K such as 2.0 raises TypeError and a K below
+    1 ValueError; K >= N raises ValueError once the cloud is read.
+    Distances are squared Euclidean (same ordering as Euclidean, cheaper);
+    ties are resolved toward the smaller index, so the result is
+    permutation-checkable and deterministic.
 
     A KD-tree proposes k = min(K + 2, N) candidates per point.  Each
     candidate's squared distance is re-scored one coordinate at a time, which
@@ -60,11 +62,9 @@ def knn(cloud, K: int) -> np.ndarray:
     from scipy.spatial import cKDTree
     from scipy.spatial.distance import cdist
 
-    K = as_int(K, "K")
+    K = as_count(K, "K")
     X = validate_cloud(cloud)
     n = X.shape[0]
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
     if K >= n:
         raise ValueError(f"K must be < N = {n}, got {K}")
     check_extent(X)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import BLOCK, as_int, validate_cloud, write_rows
+from .datasets import BLOCK, as_count, validate_cloud, write_rows
 from .errors import DegenerateWeightsError, GeneralPositionError, SingularNeighborhoodError
 from .neighbors import check_extent
 
@@ -323,9 +323,7 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     """
     import scipy.sparse as sparse
 
-    d = as_int(d, "d")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = as_count(d, "d")
     X = validate_cloud(cloud)
     if method not in ("classical", "ldr"):
         raise ValueError(f"unknown method {method!r}; expected 'classical' or 'ldr'")

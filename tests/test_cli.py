@@ -990,3 +990,35 @@ def test_an_output_outside_an_existing_directory_is_refused_before_any_work(
     assert run(*argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag} nodir/")
     assert [p.name for p in tmp_path.rglob("*")] == (["nodir"] if parent_is_file else [])
+
+
+BAD_COUNTS = [
+    pytest.param(["embed", "--generator", "swissroll", "--n", "300", "--d", "0", "--out", "y.csv"],
+                 "d must be >= 1, got 0", True, id="embed-d"),
+    pytest.param(["embed", "--generator", "swissroll", "--n", "300", "--k", "0", "--out", "y.csv"],
+                 "K must be >= 1, got 0", True, id="embed-k"),
+    pytest.param(["theorem2", "--generator", "swissroll", "--n-list", "300", "--d", "0",
+                  "--out", "t.json"], "d must be >= 1, got 0", True, id="theorem2-d"),
+    pytest.param(["theorem2", "--generator", "swissroll", "--n-list", "300",
+                  "--permutations", "0", "--out", "t.json"],
+                 "permutations must be >= 1, got 0", True, id="theorem2-permutations"),
+    pytest.param(["theorem2", "--generator", "ring", "--n-list", "48", "2", "--k", "4", "--d", "1",
+                  "--out", "t.json"], "open ring needs n >= 3, got 2", False,
+                 id="theorem2-late-size"),
+]
+
+
+@pytest.mark.parametrize("argv, message, before_generate", BAD_COUNTS)
+def test_a_bad_count_or_size_is_refused_before_any_knn(
+        argv, message, before_generate, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the counts and sizes were checked")
+
+    monkeypatch.setattr(cli.neighbors, "knn", no_work)
+    if before_generate:
+        monkeypatch.setattr(cli.datasets, "generate", no_work)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []

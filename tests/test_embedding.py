@@ -20,6 +20,8 @@ from ldrlle import (
     gen_scurve,
     gen_swissroll,
     knn,
+    perturbation_experiment,
+    permuted_preimage_null,
     phi,
     save_embedding,
 )
@@ -499,6 +501,10 @@ SIZE_ARGUMENTS = [
     pytest.param(lambda X, W, graph, size: assemble_weight_matrix(X, graph, "ldr", d=size),
                  "d", id="assemble-d"),
     pytest.param(lambda X, W, graph, size: embed(W, size), "d", id="embed-d"),
+    pytest.param(lambda X, W, graph, size: perturbation_experiment(trials=size), "trials",
+                 id="perturbation-trials"),
+    pytest.param(lambda X, W, graph, size: permuted_preimage_null(W, X[:, :2], permutations=size),
+                 "permutations", id="null-permutations"),
 ]
 
 
