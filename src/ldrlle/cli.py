@@ -91,10 +91,12 @@ def _samples(args, flag, sizes, default):
     else the preimage file beside --input when it exists.  The sizes are the
     caller's size flag's value, or its default when the flag was not given
     (None); the flag is refused with --input.  --k and --d are checked as
-    counts first, and every sample is built before the list is returned, so
-    a bad count or size is refused before any input is read or any knn runs."""
+    counts first, --d below --k with --method ldr, whose rank-d weights
+    discard nothing at d >= K, and every sample is built before the list is
+    returned, so a bad count or size is refused before any input is read or
+    any knn runs."""
     datasets.as_count(args.k, "K")
-    datasets.as_count(args.d, "d")
+    datasets.as_count(args.d, "d", (args.k, "K") if args.method == "ldr" else None)
     if args.generator is not None:
         if args.preimage is not None:
             raise ValueError("--preimage applies only with --input: "
@@ -209,7 +211,7 @@ def cmd_theorem2(args) -> int:
             raise ValueError("the check scores ground-truth parameters: pass --preimage or write "
                              f"{datasets.preimage_path(args.input)}, the preimage beside --input")
         graph = neighbors.knn(X, args.k)
-        W, spectra = weights.assemble_weight_matrix(X, graph, "ldr", d=args.d)
+        W, spectra = weights.assemble_weight_matrix(X, graph, args.method, d=args.d)
         result = diagnostics.theorem2_check_from_parts(Z, W, spectra)
         null = diagnostics.permuted_preimage_null(
             W, Z, permutations=args.permutations, seed=args.seed
@@ -306,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample sizes with --generator (default 500 1000 2000)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--permutations", type=int, default=20)
-    p.set_defaults(func=cmd_theorem2)
+    p.set_defaults(func=cmd_theorem2, method="ldr")
 
     return parser
 

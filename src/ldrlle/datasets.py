@@ -73,16 +73,22 @@ def as_columns(a) -> np.ndarray:
     return arr[:, None] if arr.ndim == 1 else arr
 
 
-def as_count(value, name: str) -> int:
+def as_count(value, name: str, below=None) -> int:
     """value as a Python int of at least 1, through operator.index, so numpy
     integers pass; anything else, such as 2.0, raises TypeError and a count
-    below 1 ValueError, each naming the argument."""
+    below 1 ValueError, each naming the argument.  below, a (limit, label)
+    pair, is the exclusive upper bound: a count >= limit raises ValueError
+    "<name> must be < <label> = <limit>, got <count>".  Every count's range
+    in the package is checked here, each caller filling below from its own
+    inputs: K < N for knn, d < K for the rank-d weights, d < N - 1 for embed."""
     try:
         count = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if count < 1:
         raise ValueError(f"{name} must be >= 1, got {count}")
+    if below is not None and count >= below[0]:
+        raise ValueError(f"{name} must be < {below[1]} = {below[0]}, got {count}")
     return count
 
 
@@ -126,11 +132,10 @@ def _sheet(n: int, seed: int, t_of_u, height: float, sheet_map) -> GeneratedSamp
 
     One (n, 2) uniform draw gives (u, v) on the unit square, t = t_of_u(u) and
     the height h = height * v; the points are sheet_map(t, h) and the preimage
-    is (t, h).
+    is (t, h).  n is a count (see as_count): 2.0 raises TypeError and n < 1
+    ValueError, before anything is drawn.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    uv = np.random.default_rng(seed).random((n, 2))
+    uv = np.random.default_rng(seed).random((as_count(n, "n"), 2))
     t = t_of_u(uv[:, 0])
     h = height * uv[:, 1]
     return GeneratedSample(sheet_map(t, h), np.column_stack([t, h]))
@@ -140,7 +145,9 @@ def gen_scurve(n: int, seed: int = 0) -> GeneratedSample:
     """n points drawn uniformly on the S-shaped sheet.
 
     t = 3*pi*(u - 1/2) and the height is 2*v for (u, v) uniform on the unit
-    square; the preimage is (t, 2*v), an isometric parameterization.
+    square; the preimage is (t, 2*v), an isometric parameterization.  A
+    non-integer n raises TypeError and n < 1 ValueError, "n must be >= 1,
+    got 0".
     """
     return _sheet(n, seed, lambda u: 3.0 * np.pi * (u - 0.5), 2.0, scurve_map)
 
@@ -149,7 +156,8 @@ def gen_swissroll(n: int, seed: int = 0) -> GeneratedSample:
     """n points drawn uniformly in parameter space on the rolled sheet.
 
     t = (3*pi/2)*(1 + 2u) and the height is 21*v for (u, v) uniform on the
-    unit square; the preimage is (t, 21*v).
+    unit square; the preimage is (t, 21*v).  A non-integer n raises
+    TypeError and n < 1 ValueError, "n must be >= 1, got 0".
     """
     return _sheet(n, seed, lambda u: 1.5 * np.pi * (1.0 + 2.0 * u), 21.0, swissroll_map)
 

@@ -136,7 +136,7 @@ def embed(W, d: int) -> Embedding:
         when d is not an integer (2.0), before anything else.
     ValueError
         when d is below 1, before W's shape is read; when W is not square,
-        or d > N - 2, before I - W is formed.
+        or d >= N - 1 ("d must be < N - 1 = ..."), before I - W is formed.
     DisconnectedGraphError
         when W has more than one closed class: a strongly connected
         component of its nonzero pattern that no weight leaves.  Each closed
@@ -155,8 +155,7 @@ def embed(W, d: int) -> Embedding:
     n = W.shape[0]
     if W.shape[1] != n:
         raise ValueError(f"W must be square, got shape {W.shape}")
-    if d > n - 2:
-        raise ValueError(f"d must be <= N - 2 = {n - 2}, got {d}")
+    as_count(d, "d", (n - 1, "N - 1"))
     A = sparse.eye(n, format="csr") - W
 
     # A has W's nonzero pattern plus the diagonal (sparse subtraction stores

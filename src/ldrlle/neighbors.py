@@ -29,7 +29,8 @@ def knn(cloud, K: int) -> np.ndarray:
     Row i holds the K nearest neighbors of point i (self excluded) by
     increasing Euclidean distance.  Requires an integer 1 <= K < N.  K is
     checked before the cloud: a K such as 2.0 raises TypeError and a K below
-    1 ValueError; K >= N raises ValueError once the cloud is read.
+    1 ValueError; K >= N raises ValueError "K must be < N = ..." once the
+    cloud is read, from the same as_count.
     Distances are squared Euclidean (same ordering as Euclidean, cheaper);
     ties are resolved toward the smaller index, so the result is
     permutation-checkable and deterministic.
@@ -65,8 +66,7 @@ def knn(cloud, K: int) -> np.ndarray:
     K = as_count(K, "K")
     X = validate_cloud(cloud)
     n = X.shape[0]
-    if K >= n:
-        raise ValueError(f"K must be < N = {n}, got {K}")
+    as_count(K, "K", (n, "N"))
     check_extent(X)
     # Scaling by a power of two is exact, so the graph is unchanged while the
     # squared differences of a tiny spread, at any offset, no longer underflow;

@@ -172,10 +172,10 @@ def _ldr(U: np.ndarray, d: int, label, first: int = 0) -> np.ndarray:
     U2 spans the discarded directions, so U2 U2' 1 = 1 - U1 (U1' 1): on the
     thin basis, w = (1 - U1 c1) / (K - ||c1||^2) when m < K.  A row out of
     general position raises GeneralPositionError named by label (see
-    _row_error), with first the index of the stack's first row."""
+    _row_error), with first the index of the stack's first row.  d is a
+    count below K (see as_count): nothing is discarded at d >= K."""
     K = U.shape[1]
-    if not 1 <= d < K:
-        raise ValueError(f"need 1 <= d < K = {K}, got d = {d}")
+    d = as_count(d, "d", (K, "K"))
     w, total = _filtered(U, np.arange(K) >= d)
     bad = total <= GENERAL_POSITION_TOL * K
     if bad.any():
@@ -276,8 +276,11 @@ def ldr_weights(rows, d: int) -> np.ndarray:
     a ridge.  Raises GeneralPositionError when 1' U2 U2' 1 <= 1e-12 * K, i.e.
     the ones vector numerically lies inside the retained subspace (alpha = 1).
     For d >= m = min(K, D) the retained span is the whole column space, so
-    the weights equal those at d = m bit for bit.  Takes one neighborhood or
-    a stack, as lle_weights does.
+    the weights equal those at d = m bit for bit.  d is a count with
+    1 <= d < K, checked by as_count once the neighborhood's K is known: a d
+    such as 2.0 raises TypeError, d < 1 ValueError "d must be >= 1, got 0"
+    and d >= K ValueError "d must be < K = 12, got 12".  Takes one
+    neighborhood or a stack, as lle_weights does.
     """
     return _per_row(lambda U, lam, label: _ldr(U, d, label), rows)
 
@@ -314,7 +317,8 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     Both d checks run before any neighborhood is solved: a d that is not an
     integer (2.0) raises TypeError and a d below 1 ValueError at entry,
     before the cloud is read, and the ldr weights' d >= K raises ValueError
-    on the first block's SVD, before any of its weights.
+    ("d must be < K = ...") on the first block's SVD, before any of its
+    weights.
 
     Returns (W, spectra) with W in CSR format, row i carrying point i's
     weights on its neighbor columns, and spectra a Spectra record.  A

@@ -1,14 +1,19 @@
 """End-to-end command-line behavior: files, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, event, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 import ldrlle
@@ -163,7 +168,7 @@ class TestEmbed:
         src = tmp_path / "bad.csv"
         src.write_text("1.0,2.0\n3.0\n")
         rc = run(
-            "embed", "--input", str(src), "--k", "1", "--d", "1",
+            "embed", "--input", str(src), "--k", "2", "--d", "1",
             "--out", str(tmp_path / "o.csv"),
         )
         assert rc == 2
@@ -1002,6 +1007,10 @@ BAD_COUNTS = [
     pytest.param(["theorem2", "--generator", "swissroll", "--n-list", "300",
                   "--permutations", "0", "--out", "t.json"],
                  "permutations must be >= 1, got 0", True, id="theorem2-permutations"),
+    pytest.param(["embed", "--generator", "swissroll", "--n", "300", "--k", "12", "--d", "12",
+                  "--out", "y.csv"], "d must be < K = 12, got 12", True, id="embed-rank"),
+    pytest.param(["theorem2", "--generator", "swissroll", "--n-list", "300", "--k", "4", "--d", "4",
+                  "--out", "t.json"], "d must be < K = 4, got 4", True, id="theorem2-rank"),
     pytest.param(["theorem2", "--generator", "ring", "--n-list", "48", "2", "--k", "4", "--d", "1",
                   "--out", "t.json"], "open ring needs n >= 3, got 2", False,
                  id="theorem2-late-size"),
@@ -1022,3 +1031,167 @@ def test_a_bad_count_or_size_is_refused_before_any_knn(
     assert run(*argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# The exit-code contract as a property: small CSVs with duplicate, ragged,
+# empty, NaN, non-numeric, huge and subnormal cells, and flag sets for all
+# four commands, each run in-process in a fresh directory.
+BAD_CELLS = ["", "nan", "x", "1e200", "1e-310", "inf"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV of n <= 60 rows in D <= 5 columns: Gaussian, on a 3-level grid
+    (duplicate-heavy) or in two far clusters, with a few duplicated rows and,
+    each one time in three, bad cells and a ragged row."""
+    n = draw(st.integers(0, 60))
+    D = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    values = rng.normal(size=(n, D))
+    shape = draw(st.sampled_from(["gaussian", "grid", "two clusters"]))
+    if shape == "grid":
+        values = rng.integers(0, 3, size=(n, D)).astype(float)
+    elif shape == "two clusters":
+        values[: n // 2] += 100.0
+    cells = [[repr(v) for v in row] for row in values.tolist()]
+    if n:
+        row = st.integers(0, n - 1)
+        for src, dst in draw(st.lists(st.tuples(row, row), max_size=3)):
+            cells[dst] = list(cells[src])
+        bad = st.tuples(row, st.integers(0, D - 1), st.sampled_from(BAD_CELLS))
+        for i, j, cell in draw(_sometimes(st.lists(bad, min_size=1, max_size=2))):
+            cells[i][j] = cell
+        for i in draw(_sometimes(st.lists(row, min_size=1, max_size=1))):
+            cells[i] = cells[i][:-1] or ["1.0", "2.0"]
+    return "".join(",".join(row) + "\n" for row in cells)
+
+
+@st.composite
+def inputs(draw):
+    """An input CSV and the preimage written beside it and as pre.csv: none,
+    the input itself, or another CSV."""
+    text = draw(csv_texts())
+    return text, draw(st.sampled_from([None, text, None]) | csv_texts())
+
+
+def _sometimes(strategy, otherwise=()):
+    """list(otherwise) two times in three, else a value of strategy."""
+    return st.sampled_from([False, False, True]).flatmap(
+        lambda drawn: strategy if drawn else st.just(list(otherwise)))
+
+
+def _out(good, *bad):
+    """--out good two times in three, else --out one of bad."""
+    return _sometimes(st.sampled_from(bad).map(lambda out: ["--out", out]), ["--out", good])
+
+
+def _optional(flag, values):
+    """No flag two times in three, else flag with one of values."""
+    return _sometimes(st.sampled_from(values).map(lambda v: [flag, v]))
+
+
+def _pipeline_flags(sizes):
+    source = st.one_of(
+        st.tuples(st.just(["--input", "in.csv"]), _sometimes(sizes)),
+        st.tuples(st.sampled_from(["ring", "scurve", "swissroll"]).map(
+            lambda g: ["--generator", g]), sizes))
+    return st.tuples(
+        source.map(lambda s: s[0] + s[1]),
+        _optional("--preimage", ["pre.csv", "in.csv"]),
+        _optional("--k", ["0", "1", "2", "4", "6", "12", "x"]),
+        _optional("--d", ["0", "1", "2", "2", "3"]),
+    ).map(lambda parts: [flag for part in parts for flag in part])
+
+
+SIZES = st.lists(st.sampled_from(["0", "3", "20", "40", "60", "80"]), min_size=1, max_size=2)
+EMBED = st.tuples(
+    st.just(["embed"]),
+    _pipeline_flags(SIZES.map(lambda s: ["--n", s[0]])),
+    _optional("--method", ["classical", "ldr", "other"]),
+    _optional("--delta", ["0", "1e-3", "nan", "-1"]),
+    _optional("--seed", ["0", "3", "-1"]),
+    _optional("--dump-neighbors", ["nb.csv", "y.csv"]),
+    _optional("--dump-weights", ["w.csv"]),
+    _optional("--dump-spectra", ["s.csv", "sub"]),
+    _out("y.csv", "y.json", "sub", "in.csv", "missing/y.csv"),
+)
+THEOREM2 = st.tuples(
+    st.just(["theorem2"]),
+    _pipeline_flags(SIZES.map(lambda s: ["--n-list", *s])),
+    _optional("--seed", ["0", "3"]),
+    _optional("--permutations", ["0", "1", "3"]),
+    _out("t.json", "in.csv", "sub"),
+)
+PERTURB = st.tuples(
+    st.just(["perturb"]),
+    st.lists(st.sampled_from(["1e-3", "0.1", "1", "0", "-1", "nan", "1e-15"]),
+             min_size=1, max_size=3).map(lambda e: ["--epsilons", *e]),
+    st.sampled_from(["1", "5", "20", "0"]).map(lambda t: ["--trials", t]),
+    _optional("--seed", ["0", "1", "-1"]),
+    _optional("--csv", ["p.csv", "p.json"]),
+    _out("p.json", "sub"),
+)
+GENERATE = st.tuples(
+    st.sampled_from(["ring", "scurve", "swissroll", "swissroll", "torus"]).map(
+        lambda g: ["generate", g]),
+    st.sampled_from(["-1", "0", "2", "3", "16", "80"]).map(lambda n: ["--n", n]),
+    _optional("--seed", ["0", "5", "-1"]),
+    _optional("--out", ["g.csv", "in.csv", "sub"]),
+)
+ARGVS = st.one_of(EMBED, THEOREM2, PERTURB, GENERATE).map(
+    lambda parts: [flag for part in parts for flag in part])
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _main_in(root, argv):
+    """cli.main(argv) run in root with its console captured: the exit code, or
+    SystemExit's code when argparse refuses the flags."""
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, f"argparse exited {exc.code}"
+        return "argparse"
+    finally:
+        os.chdir(cwd)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@given(files=inputs(), argv=ARGVS)
+# One shrunk failure and no explain phase: with every run failing alike (an
+# exception escaping main), the explain phase's line tracing took minutes.
+@settings(max_examples=100, deadline=None, report_multiple_bugs=False,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+def test_every_run_exits_by_the_contract_and_a_failed_one_writes_nothing(files, argv):
+    text, preimage = files
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "in.csv").write_text(text)
+        if preimage is not None:
+            (root / "pre.csv").write_text(preimage)
+            (root / "in.preimage.csv").write_text(preimage)
+        (root / "sub").mkdir()
+        before = _tree(root)
+        code = _main_in(root, argv)
+        event(f"{argv[0]} exit {code}")
+        assert code in (0, 2, 3, 4, 5, "argparse")
+        after = _tree(root)
+        written = {p for p in after if before.get(p) != after[p]}
+        if code != 0:
+            assert written == set(), f"exit {code} wrote {sorted(map(str, written))}"
+            return
+        for p in written:
+            if p.suffix == ".json":
+                json.loads(after[p], parse_constant=_refuse_constant)
+        for p in written:
+            (root / p).unlink()
+        assert _main_in(root, argv) == 0
+        assert _tree(root) == after

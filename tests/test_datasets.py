@@ -125,7 +125,7 @@ class TestScurve:
         assert np.all((h >= 0.0) & (h < 2.0))
 
     def test_empty_sample_is_refused(self):
-        with pytest.raises(ValueError, match="n >= 1"):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             gen_scurve(0)
 
     def test_seed_determinism(self):

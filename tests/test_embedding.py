@@ -20,6 +20,7 @@ from ldrlle import (
     gen_scurve,
     gen_swissroll,
     knn,
+    ldr_weights,
     perturbation_experiment,
     permuted_preimage_null,
     phi,
@@ -444,7 +445,7 @@ class TestEmbed:
         W, _ = assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=1)
         with pytest.raises(ValueError, match=">= 1"):
             embed(W, 0)
-        with pytest.raises(ValueError, match="N - 2"):
+        with pytest.raises(ValueError, match="N - 1"):
             embed(W, 15)
 
     def test_non_square_rejected(self):
@@ -501,6 +502,9 @@ SIZE_ARGUMENTS = [
     pytest.param(lambda X, W, graph, size: assemble_weight_matrix(X, graph, "ldr", d=size),
                  "d", id="assemble-d"),
     pytest.param(lambda X, W, graph, size: embed(W, size), "d", id="embed-d"),
+    pytest.param(lambda X, W, graph, size: ldr_weights(X[graph] - X[:, None], size), "d",
+                 id="ldr-weights-d"),
+    pytest.param(lambda X, W, graph, size: gen_swissroll(size), "n", id="swissroll-n"),
     pytest.param(lambda X, W, graph, size: perturbation_experiment(trials=size), "trials",
                  id="perturbation-trials"),
     pytest.param(lambda X, W, graph, size: permuted_preimage_null(W, X[:, :2], permutations=size),
