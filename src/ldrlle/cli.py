@@ -94,25 +94,37 @@ def _samples(args, flag, sizes, default):
     counts first, --d below --k with --method ldr, whose rank-d weights
     discard nothing at d >= K, and every sample is built before the list is
     returned, so a bad count or size is refused before any input is read or
-    any knn runs."""
+    any knn runs.  With --method classical, --d is checked below N - 1, the
+    embedding's own bound, once N is known: before a size is generated, and
+    after --input is read; with ldr, --d < --k and knn's K < N imply it."""
     datasets.as_count(args.k, "K")
     datasets.as_count(args.d, "d", (args.k, "K") if args.method == "ldr" else None)
     if args.generator is not None:
         if args.preimage is not None:
             raise ValueError("--preimage applies only with --input: "
                              "a generated sample carries its own preimage")
-        samples = [datasets.generate(args.generator, n, args.seed)
-                   for n in (default if sizes is None else sizes)]
+        sizes = default if sizes is None else sizes
+        for n in sizes:
+            _embeddable(args, n)
+        samples = [datasets.generate(args.generator, n, args.seed) for n in sizes]
         return [(s.points, s.preimage) for s in samples]
     if sizes is not None:
         raise ValueError(f"{flag} applies only with --generator: an --input CSV sets its size")
     X = datasets.load_csv(args.input)
+    _embeddable(args, X.shape[0])
     sibling = datasets.preimage_path(args.input)
     pre_path = args.preimage or (sibling if sibling.exists() else None)
     preimage = None if pre_path is None else datasets.load_csv(pre_path)
     if preimage is not None and preimage.shape[0] != X.shape[0]:
         raise ValueError(f"preimage has {preimage.shape[0]} rows but input has {X.shape[0]}")
     return [(X, preimage)]
+
+
+def _embeddable(args, n) -> None:
+    """Refuse a classical --d at or above N - 1 for a sample of n points,
+    with embed's own message, from the one owner of a count's range."""
+    if args.method == "classical":
+        datasets.as_count(args.d, "d", (n - 1, "N - 1"))
 
 
 def cmd_embed(args) -> int:
@@ -131,8 +143,9 @@ def cmd_embed(args) -> int:
     # The sidecar records the seed and delta that were used, null where none was.
     if args.generator is not None and args.seed is None:
         args.seed = 0
-    if args.method == "classical" and args.delta is None:
-        args.delta = weights.DEFAULT_DELTA
+    if args.method == "classical":
+        args.delta = weights.DEFAULT_DELTA if args.delta is None else args.delta
+        weights.check_delta(args.delta)
     [(X, preimage)] = _samples(args, "--n", None if args.n is None else [args.n], [2000])
     graph = neighbors.knn(X, args.k)
     W, spectra = weights.assemble_weight_matrix(

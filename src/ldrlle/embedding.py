@@ -6,8 +6,9 @@ minimizer is read off the bottom eigenvectors of M = (I - W)'(I - W), with the
 constant zero mode dropped.  Nothing here forms M, whose condition number is
 the square of that of A = I - W, or applies it: embed forms A once, reads W's
 closed classes off A's nonzero pattern, and runs ARPACK on M's pseudo-inverse,
-applied through one sparse LU of A with a single pinned diagonal entry.  The
-output comes from a Rayleigh-Ritz step through W.
+applied through one sparse LU of A with a single pinned diagonal entry.  A and
+the class arrays end before the LU is formed, and the pinned matrix ends with
+it.  The output comes from a Rayleigh-Ritz step through W.
 """
 
 from dataclasses import dataclass
@@ -60,16 +61,21 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U * np.where(U[lead, np.arange(U.shape[1])] < 0.0, -1.0, 1.0)
 
 
-def _bottom_subspace(A, r: int, k: int) -> np.ndarray:
+def _bottom_subspace(W, k: int):
     """Orthonormal basis of the k-dim bottom eigenspace of M = A'A on the
-    complement of the ones vector, by ARPACK on M's pseudo-inverse.  The
-    basis is orthogonal to the ones vector to rounding, not to the solver's
+    complement of the ones vector, A = I - W, by ARPACK on M's
+    pseudo-inverse, with the dropped constant mode's eigenvalue.  The basis
+    is orthogonal to the ones vector to rounding, not to the solver's
     tolerance: it comes from one QR of the ones vector and the purified block.
 
-    A = I - W has the ones vector as its right null vector and some z as its
-    left one.  Pinning the diagonal entry r, a point of W's one closed class,
-    gives A_hat = A + e_r e_r', whose determinant is proportional to z_r, so
-    A_hat is exactly nonsingular and factors once, with A's sparsity pattern.
+    A is formed once and read by the closed-class and zero-mode checks
+    only.  A = I - W has the ones vector as its right null vector and some z
+    as its left one.  Pinning the diagonal entry r, the lowest index of W's
+    one closed class, gives A_hat = A + e_r e_r', whose determinant is
+    proportional to z_r, so A_hat is exactly nonsingular and factors once,
+    with A's sparsity pattern.  A and the class arrays end before the
+    factorization, and A_hat's CSC ends with it, so the LU is formed with
+    nothing else of this call's alive.
     z = A_hat^-T e_r, since A_hat'z is proportional to e_r and 1'A' = 0.
     ARPACK keeps the largest eigenvalues of P1 A_hat^-1 Pz A_hat^-T P1, where
     P1 and Pz project out the ones vector and z: M's pseudo-inverse on the
@@ -79,83 +85,10 @@ def _bottom_subspace(A, r: int, k: int) -> np.ndarray:
     """
     import scipy.linalg
     import scipy.sparse as sparse
+    import scipy.sparse.csgraph as csgraph
     import scipy.sparse.linalg
 
-    n = A.shape[0]
-    # A fixed, non-constant start vector and a seeded generator for restart
-    # vectors keep ARPACK deterministic: once the Krylov space is exhausted
-    # (duplicate-heavy input), eigsh draws a restart vector, from OS entropy
-    # unless rng is given.  The constant vector spans the operator's null
-    # space and would stall it.
-    v0 = np.cos(np.arange(n))
-    try:
-        pinned = A + sparse.csr_matrix(([1.0], ([r], [r])), shape=(n, n))
-        lu = sparse.linalg.splu(pinned.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        z = lu.solve(np.eye(1, n, r)[0], trans="T")
-        z /= np.linalg.norm(z)
-
-        def pinv_m(x):
-            y = lu.solve(x - x.mean(axis=0), trans="T")
-            y = lu.solve(y - np.multiply.outer(z, z @ y))
-            return y - y.mean(axis=0)
-
-        pinv = sparse.linalg.LinearOperator((n, n), matvec=pinv_m, matmat=pinv_m, dtype=float)
-        _, basis = sparse.linalg.eigsh(pinv, k=k, v0=v0, rng=0)
-    # splu raises RuntimeError on an exactly singular factor; ArpackError is its subclass.
-    except RuntimeError as exc:
-        raise EigenSolverError(f"eigensolver failed: {exc}") from exc
-    # One more application of the inverse purifies the Ritz vectors: the
-    # Lanczos recurrence can leave in them components of modes far above the
-    # bottom cluster, whose energy adds visibly to the cluster's eigenvalues
-    # when those sit at rounding level (classical weights on a sheet).  The
-    # purified block is orthonormalised together with the ones vector, whose
-    # column is then dropped: Householder QR keeps every later column
-    # orthogonal to the first to working precision however ill-conditioned
-    # the block is, while QR of the block alone lets that conditioning, severe
-    # when W reconstructs exactly, bring the constant mode back.
-    # scipy's QR, not numpy's: with two BLAS threads, numpy's QR of this tall
-    # block left later scipy BLAS work (a dense eigh) about 1.8x slower.
-    return scipy.linalg.qr(np.column_stack([np.ones(n), pinv @ basis]), mode="economic")[0][:, 1:]
-
-
-def embed(W, d: int) -> Embedding:
-    """Embed into d dimensions from a row-stochastic weight matrix.
-
-    Computes the bottom eigenspace of M = (I - W)'(I - W) on the complement
-    of the ones vector with one ARPACK run on M's pseudo-inverse, without
-    forming or applying M, diagonalizes M on it through W, and returns the d
-    smallest pairs in ascending eigenvalue order with deterministic column
-    signs (largest-magnitude entry positive).  The dropped constant mode's
-    eigenvalue is ||(I - W)1||^2 / N, computed directly and checked against
-    ||I - W||_F^2 / N before anything is factored.
-
-    Raises
-    ------
-    TypeError
-        when d is not an integer (2.0), before anything else.
-    ValueError
-        when d is below 1, before W's shape is read; when W is not square,
-        or d >= N - 1 ("d must be < N - 1 = ..."), before I - W is formed.
-    DisconnectedGraphError
-        when W has more than one closed class: a strongly connected
-        component of its nonzero pattern that no weight leaves.  Each closed
-        class adds a null vector to I - W, so the zero eigenvalue is not
-        simple; a W that splits into pieces has at least one per piece.
-    EigenSolverError
-        when the factorization or the eigensolver failed, or the constant
-        mode's eigenvalue is not near zero (or not finite, as when W holds a
-        NaN or inf weight).
-    """
-    import scipy.sparse as sparse
-    import scipy.sparse.csgraph as csgraph
-
-    d = as_count(d, "d")
-    W = sparse.csr_matrix(W)
     n = W.shape[0]
-    if W.shape[1] != n:
-        raise ValueError(f"W must be square, got shape {W.shape}")
-    as_count(d, "d", (n - 1, "N - 1"))
     A = sparse.eye(n, format="csr") - W
 
     # A has W's nonzero pattern plus the diagonal (sparse subtraction stores
@@ -181,7 +114,88 @@ def embed(W, d: int) -> Embedding:
             f"constant-mode eigenvalue {dropped:.3e} is not near zero "
             f"(||I - W||_F^2 / N = {scale:.3e}); weight rows may not sum to one"
         )
-    basis = _bottom_subspace(A, r, min(n - 2, max(d, MIN_SUBSPACE)))
+    # Plain del, not a helper per step: it ends each array where its last
+    # reader is done in fewer lines than the calls and returns would take.
+    del labels, src, dst, leaving, u
+    # A fixed, non-constant start vector and a seeded generator for restart
+    # vectors keep ARPACK deterministic: once the Krylov space is exhausted
+    # (duplicate-heavy input), eigsh draws a restart vector, from OS entropy
+    # unless rng is given.  The constant vector spans the operator's null
+    # space and would stall it.
+    v0 = np.cos(np.arange(n))
+    try:
+        pinned = (A + sparse.csr_matrix(([1.0], ([r], [r])), shape=(n, n))).tocsc()
+        del A
+        lu = sparse.linalg.splu(pinned, permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        del pinned
+        z = lu.solve(np.eye(1, n, r)[0], trans="T")
+        z /= np.linalg.norm(z)
+
+        def pinv_m(x):
+            y = lu.solve(x - x.mean(axis=0), trans="T")
+            y = lu.solve(y - np.multiply.outer(z, z @ y))
+            return y - y.mean(axis=0)
+
+        pinv = sparse.linalg.LinearOperator((n, n), matvec=pinv_m, matmat=pinv_m, dtype=float)
+        _, basis = sparse.linalg.eigsh(pinv, k=k, v0=v0, rng=0)
+    # splu raises RuntimeError on an exactly singular factor; ArpackError is its subclass.
+    except RuntimeError as exc:
+        raise EigenSolverError(f"eigensolver failed: {exc}") from exc
+    # One more application of the inverse purifies the Ritz vectors: the
+    # Lanczos recurrence can leave in them components of modes far above the
+    # bottom cluster, whose energy adds visibly to the cluster's eigenvalues
+    # when those sit at rounding level (classical weights on a sheet).  The
+    # purified block is orthonormalised together with the ones vector, whose
+    # column is then dropped: Householder QR keeps every later column
+    # orthogonal to the first to working precision however ill-conditioned
+    # the block is, while QR of the block alone lets that conditioning, severe
+    # when W reconstructs exactly, bring the constant mode back.
+    # scipy's QR, not numpy's: with two BLAS threads, numpy's QR of this tall
+    # block left later scipy BLAS work (a dense eigh) about 1.8x slower.
+    Q = scipy.linalg.qr(np.column_stack([np.ones(n), pinv @ basis]), mode="economic")[0]
+    return Q[:, 1:], dropped
+
+
+def embed(W, d: int) -> Embedding:
+    """Embed into d dimensions from a row-stochastic weight matrix.
+
+    Computes the bottom eigenspace of M = (I - W)'(I - W) on the complement
+    of the ones vector with one ARPACK run on M's pseudo-inverse, without
+    forming or applying M, diagonalizes M on it through W, and returns the d
+    smallest pairs in ascending eigenvalue order with deterministic column
+    signs (largest-magnitude entry positive).  The dropped constant mode's
+    eigenvalue is ||(I - W)1||^2 / N, computed directly and checked against
+    ||I - W||_F^2 / N before anything is factored.  Each array ends when its
+    last reader is done: the sparse LU is formed while only W and the pinned
+    I - W are alive, and ARPACK runs on the LU alone.
+
+    Raises
+    ------
+    TypeError
+        when d is not an integer (2.0), before anything else.
+    ValueError
+        when d is below 1, before W's shape is read; when W is not square,
+        or d >= N - 1 ("d must be < N - 1 = ..."), before I - W is formed.
+    DisconnectedGraphError
+        when W has more than one closed class: a strongly connected
+        component of its nonzero pattern that no weight leaves.  Each closed
+        class adds a null vector to I - W, so the zero eigenvalue is not
+        simple; a W that splits into pieces has at least one per piece.
+    EigenSolverError
+        when the factorization or the eigensolver failed, or the constant
+        mode's eigenvalue is not near zero (or not finite, as when W holds a
+        NaN or inf weight).
+    """
+    import scipy.sparse as sparse
+
+    d = as_count(d, "d")
+    W = sparse.csr_matrix(W)
+    n = W.shape[0]
+    if W.shape[1] != n:
+        raise ValueError(f"W must be square, got shape {W.shape}")
+    as_count(d, "d", (n - 1, "N - 1"))
+    basis, dropped = _bottom_subspace(W, min(n - 2, max(d, MIN_SUBSPACE)))
 
     # Rotate the constant-free basis by one Rayleigh-Ritz step with M applied
     # through W: R = (I - W) basis gives basis'M basis = R'R.  Nothing depends

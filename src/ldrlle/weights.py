@@ -124,6 +124,15 @@ def _row_error(kind, label, i: int, message: str, **fields):
     return kind(f"{label.format(i)}: {message}", point_index=i, **fields)
 
 
+def check_delta(delta) -> None:
+    """Refuse a classical regularization scale that is not finite and >= 0
+    with ValueError "delta must be finite and >= 0, got ...".  The one owner
+    of the delta rule: assembly and lle_weights call it at entry, and the
+    CLI before it reads or generates any input."""
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+
+
 def _sqnorm(v: np.ndarray) -> np.ndarray:
     """Squared norm of each row of v, one dot product per row."""
     return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
@@ -200,9 +209,8 @@ def _classical(U: np.ndarray, lam: np.ndarray, delta: float, label,
     lambda_j <= K eps lambda_1 and equals G^-1 1 where G is nonsingular.  A
     singular row, or one whose weights sum to zero, raises its error named by
     label (see _row_error), with first the index of the stack's first row.
+    delta is checked by its callers (see check_delta).
     """
-    if not 0.0 <= delta < np.inf:
-        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     K = lam.shape[1]
     # A positive factor per row cancels in the normalization, so the filter is
     # taken on r = lambda / lambda_1, whose square neither overflows nor
@@ -244,8 +252,10 @@ def lle_weights(rows, delta: float) -> np.ndarray:
     (reciprocal condition number (lambda_K / lambda_1)^2 above 1e-12), which
     fails whenever K > D.  rows is one (K, D) neighborhood, giving (K,)
     weights, or an (N, K, D) stack, giving (N, K); the error of a stack's
-    failing row i starts "point i: ", as assembly's does.
+    failing row i starts "point i: ", as assembly's does.  A delta that is
+    not finite and >= 0 raises ValueError before the rows are read.
     """
+    check_delta(delta)
     return _per_row(lambda U, lam, label: _classical(U, lam, delta, label), rows)
 
 
@@ -318,7 +328,9 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     integer (2.0) raises TypeError and a d below 1 ValueError at entry,
     before the cloud is read, and the ldr weights' d >= K raises ValueError
     ("d must be < K = ...") on the first block's SVD, before any of its
-    weights.
+    weights.  With method "classical", a delta that is not finite and >= 0
+    raises ValueError at entry too, after the d count and before the cloud
+    is read; the ldr weights read no delta.
 
     Returns (W, spectra) with W in CSR format, row i carrying point i's
     weights on its neighbor columns, and spectra a Spectra record.  A
@@ -328,6 +340,8 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     import scipy.sparse as sparse
 
     d = as_count(d, "d")
+    if method == "classical":
+        check_delta(delta)
     X = validate_cloud(cloud)
     if method not in ("classical", "ldr"):
         raise ValueError(f"unknown method {method!r}; expected 'classical' or 'ldr'")

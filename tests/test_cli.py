@@ -1014,6 +1014,15 @@ BAD_COUNTS = [
     pytest.param(["theorem2", "--generator", "ring", "--n-list", "48", "2", "--k", "4", "--d", "1",
                   "--out", "t.json"], "open ring needs n >= 3, got 2", False,
                  id="theorem2-late-size"),
+    pytest.param(["embed", "--generator", "swissroll", "--n", "300", "--method", "classical",
+                  "--delta", "nan", "--out", "y.csv"],
+                 "delta must be finite and >= 0, got nan", True, id="embed-delta-nan"),
+    pytest.param(["embed", "--generator", "swissroll", "--n", "300", "--method", "classical",
+                  "--delta", "-1", "--out", "y.csv"],
+                 "delta must be finite and >= 0, got -1.0", True, id="embed-delta-negative"),
+    pytest.param(["embed", "--generator", "swissroll", "--n", "300", "--k", "4", "--d", "299",
+                  "--method", "classical", "--out", "y.csv"],
+                 "d must be < N - 1 = 299, got 299", True, id="embed-classical-d-generated"),
 ]
 
 
@@ -1031,6 +1040,22 @@ def test_a_bad_count_or_size_is_refused_before_any_knn(
     assert run(*argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_classical_d_past_the_read_cloud_is_refused_before_any_knn(
+        tmp_path, monkeypatch, capsys):
+    # N of an --input is known once the CSV is read, before knn.
+    monkeypatch.chdir(tmp_path)
+    save_csv(gen_swissroll(40, seed=1).points, tmp_path / "x.csv")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("knn ran before --d was checked against N - 1")
+
+    monkeypatch.setattr(cli.neighbors, "knn", no_work)
+    assert run("embed", "--input", "x.csv", "--k", "4", "--d", "39", "--method", "classical",
+               "--out", "y.csv") == 2
+    assert capsys.readouterr().err == "error: d must be < N - 1 = 39, got 39\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
 
 # The exit-code contract as a property: small CSVs with duplicate, ragged,

@@ -137,6 +137,11 @@ class TestClassicalWeights:
         with pytest.raises(ValueError, match="delta must be finite"):
             lle_weights(TWO_OPPOSITE, delta=delta)
 
+    def test_a_bad_delta_is_refused_before_the_rows_are_read(self):
+        # The delta rule is checked at entry, so it is named ahead of bad rows.
+        with pytest.raises(ValueError, match="delta must be finite and >= 0, got nan"):
+            lle_weights(np.ones(5), delta=float("nan"))
+
     @pytest.mark.parametrize("shape", [(5,), (2, 5, 6, 3)])
     def test_neither_a_neighborhood_nor_a_stack_is_refused(self, shape):
         with pytest.raises(ValueError, match=r"\(N, K, D\) stack"):
@@ -379,6 +384,11 @@ class TestAssembly:
     def test_non_finite_delta_rejected(self, ring16, ring16_graph, delta):
         with pytest.raises(ValueError, match="delta must be finite"):
             assemble_weight_matrix(ring16.points, ring16_graph, "classical", d=1, delta=delta)
+
+    @pytest.mark.parametrize("delta", [float("nan"), -1.0])
+    def test_a_bad_delta_is_refused_before_the_cloud_is_read(self, delta):
+        with pytest.raises(ValueError, match=f"delta must be finite and >= 0, got {delta}"):
+            assemble_weight_matrix("not a cloud", None, "classical", d=1, delta=delta)
 
     def test_matrix_matches_per_point_solves(self, ring16, ring16_graph):
         for method, kwargs in (("classical", {"delta": 1e-9}), ("ldr", {})):
