@@ -105,8 +105,10 @@ def gen_open_ring(n: int) -> GeneratedSample:
 
     The n angles are uniformly spaced over [0, 3*pi/2]; the preimage is the
     angle itself, which is arc length on the unit circle.  Deterministic.
+    n is a count (see as_count): 3.0 raises TypeError and n < 1 ValueError;
+    1 and 2 raise ValueError "open ring needs n >= 3, got 2".
     """
-    if n < 3:
+    if as_count(n, "n") < 3:
         raise ValueError(f"open ring needs n >= 3, got {n}")
     theta = np.linspace(0.0, RING_ARC, n)
     points = np.column_stack([np.cos(theta), np.sin(theta)])

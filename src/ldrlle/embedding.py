@@ -6,9 +6,10 @@ minimizer is read off the bottom eigenvectors of M = (I - W)'(I - W), with the
 constant zero mode dropped.  Nothing here forms M, whose condition number is
 the square of that of A = I - W, or applies it: embed forms A once, reads W's
 closed classes off A's nonzero pattern, and runs ARPACK on M's pseudo-inverse,
-applied through one sparse LU of A with a single pinned diagonal entry.  A and
-the class arrays end before the LU is formed, and the pinned matrix ends with
-it.  The output comes from a Rayleigh-Ritz step through W.
+applied through one sparse LU of A with a single pinned diagonal entry.  Once
+the checks are done, A is converted to CSC once and the entry is pinned in
+that CSC, so the pinned matrix is only ever built as CSC; it ends with the LU.
+The output comes from a Rayleigh-Ritz step through W.
 """
 
 from dataclasses import dataclass
@@ -68,14 +69,15 @@ def _bottom_subspace(W, k: int):
     is orthogonal to the ones vector to rounding, not to the solver's
     tolerance: it comes from one QR of the ones vector and the purified block.
 
-    A is formed once and read by the closed-class and zero-mode checks
-    only.  A = I - W has the ones vector as its right null vector and some z
-    as its left one.  Pinning the diagonal entry r, the lowest index of W's
+    A is formed once, as CSR, and read by the closed-class and zero-mode
+    checks.  A = I - W has the ones vector as its right null vector and some
+    z as its left one.  Pinning the diagonal entry r, the lowest index of W's
     one closed class, gives A_hat = A + e_r e_r', whose determinant is
     proportional to z_r, so A_hat is exactly nonsingular and factors once,
-    with A's sparsity pattern.  A and the class arrays end before the
-    factorization, and A_hat's CSC ends with it, so the LU is formed with
-    nothing else of this call's alive.
+    with A's sparsity pattern.  Once the checks are done, the class arrays
+    end and A is converted to CSC once; A_hat is only ever built as CSC,
+    from that CSC, and ends with the factorization, so no array of this
+    call's own outgrows ARPACK's Lanczos block and workspace.
     z = A_hat^-T e_r, since A_hat'z is proportional to e_r and 1'A' = 0.
     ARPACK keeps the largest eigenvalues of P1 A_hat^-1 Pz A_hat^-T P1, where
     P1 and Pz project out the ones vector and z: M's pseudo-inverse on the
@@ -124,11 +126,11 @@ def _bottom_subspace(W, k: int):
     # space and would stall it.
     v0 = np.cos(np.arange(n))
     try:
-        pinned = (A + sparse.csr_matrix(([1.0], ([r], [r])), shape=(n, n))).tocsc()
-        del A
-        lu = sparse.linalg.splu(pinned, permc_spec="MMD_AT_PLUS_A",
+        A = A.tocsc()
+        A = A + sparse.csc_matrix(([1.0], ([r], [r])), shape=(n, n))
+        lu = sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A",
                                 diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        del pinned
+        del A
         z = lu.solve(np.eye(1, n, r)[0], trans="T")
         z /= np.linalg.norm(z)
 
@@ -151,8 +153,10 @@ def _bottom_subspace(W, k: int):
     # orthogonal to the first to working precision however ill-conditioned
     # the block is, while QR of the block alone lets that conditioning, severe
     # when W reconstructs exactly, bring the constant mode back.
-    # scipy's QR, not numpy's: with two BLAS threads, numpy's QR of this tall
-    # block left later scipy BLAS work (a dense eigh) about 1.8x slower.
+    # scipy's QR, not numpy's: with two BLAS threads, numpy's QR of a
+    # 2000 x 7 block left the next scipy.linalg.eigh of a 300 x 300 matrix,
+    # perfbench's calibration kernel, about 1.8x slower, which halved a
+    # workload's scaled op_s.
     Q = scipy.linalg.qr(np.column_stack([np.ones(n), pinv @ basis]), mode="economic")[0]
     return Q[:, 1:], dropped
 
@@ -167,8 +171,10 @@ def embed(W, d: int) -> Embedding:
     signs (largest-magnitude entry positive).  The dropped constant mode's
     eigenvalue is ||(I - W)1||^2 / N, computed directly and checked against
     ||I - W||_F^2 / N before anything is factored.  Each array ends when its
-    last reader is done: the sparse LU is formed while only W and the pinned
-    I - W are alive, and ARPACK runs on the LU alone.
+    last reader is done: once the checks are done, I - W is converted to CSC
+    once and pinned in that CSC, which is the only form the pinned matrix
+    takes; the sparse LU is formed while only W and it are alive, and ARPACK
+    runs on the LU alone.
 
     Raises
     ------

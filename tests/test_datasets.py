@@ -93,6 +93,14 @@ class TestOpenRing:
         with pytest.raises(ValueError, match="n >= 3"):
             gen_open_ring(2)
 
+    def test_a_size_that_is_not_an_integer_is_refused(self):
+        # The ring's size goes through the same count check as the sheets'.
+        assert gen_open_ring(np.int64(3)).points.shape == (3, 2)
+        with pytest.raises(TypeError, match=r"^n must be an integer, got 3\.0$"):
+            gen_open_ring(3.0)
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            gen_open_ring(0)
+
 
 class TestSheetMaps:
     def test_s_shape_center(self):
