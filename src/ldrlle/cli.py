@@ -229,7 +229,10 @@ def cmd_theorem2(args) -> int:
         null = diagnostics.permuted_preimage_null(
             W, Z, permutations=args.permutations, seed=args.seed
         )
-        rows.append(_theorem2_row(X.shape[0], result, null))
+        # Strict JSON: a quotient over a zero objective is null, as an undefined ratio is.
+        over = null / result.phi_z_over_n if result.phi_z_over_n > 0.0 else None
+        rows.append(dict(dataclasses.asdict(result), n=int(X.shape[0]),
+                         null_phi_z_over_n=null, null_over_phi=over))
 
     bounded = None
     if len(rows) > 1:
@@ -252,18 +255,6 @@ def _shown(value, spec="") -> str:
     """A report value as the console prints it: formatted by spec, or "n/a"
     where it is undefined (None)."""
     return "n/a" if value is None else format(value, spec)
-
-
-def _theorem2_row(n, result, null) -> dict:
-    row = dataclasses.asdict(result)
-    # Strict JSON: an undefined ratio or a quotient over a zero objective is null.
-    row.update(
-        n=int(n),
-        ratio=result.ratio if np.isfinite(result.ratio) else None,
-        null_phi_z_over_n=null,
-        null_over_phi=null / result.phi_z_over_n if result.phi_z_over_n > 0.0 else None,
-    )
-    return row
 
 
 def build_parser() -> argparse.ArgumentParser:

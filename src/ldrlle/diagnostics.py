@@ -190,16 +190,18 @@ TAIL_VANISH_REL = 1e-12
 class Theorem2Result:
     """Preimage objective value against its spectral-tail scale.
 
-    ratio = (phi(Z)/N) / (max_i lambda_{d+1}(i) * r_max^2); NaN when the
-    spectral tail vanishes (rank-d data reconstructs exactly, leaving both
-    numerator and denominator at rounding level); inf, past float range, when
-    the denominator, which scales as the cube of the cloud, underflows to 0.
+    ratio = (phi(Z)/N) / (max_i lambda_{d+1}(i) * r_max^2), or None where it
+    is undefined: when the spectral tail vanishes (max_lambda_dp1 within
+    TAIL_VANISH_REL of the largest lambda_1: rank-d data reconstructs exactly,
+    leaving both numerator and denominator at rounding level), or when the
+    denominator, which scales as the cube of the cloud, underflows to 0
+    (max_lambda_dp1 * r_max^2 == 0).
     """
 
     phi_z_over_n: float
     max_lambda_dp1: float
     r_max: float
-    ratio: float
+    ratio: Optional[float]
 
 
 def theorem2_check_from_parts(preimage, W, spectra) -> Theorem2Result:
@@ -221,13 +223,9 @@ def theorem2_check_from_parts(preimage, W, spectra) -> Theorem2Result:
     max_tail = float(spectra.singular_values[:, spectra.d].max())
     max_lead = float(spectra.singular_values[:, 0].max())
     r_max = float(spectra.radius.max())
-    if max_tail <= TAIL_VANISH_REL * max_lead:
-        ratio = float("nan")
-    elif max_tail * r_max ** 2 == 0.0:
-        ratio = float("inf")
-    else:
-        ratio = phi_z / (max_tail * r_max ** 2)
-    return Theorem2Result(phi_z, max_tail, r_max, ratio)
+    if max_tail <= TAIL_VANISH_REL * max_lead or max_tail * r_max ** 2 == 0.0:
+        return Theorem2Result(phi_z, max_tail, r_max, None)
+    return Theorem2Result(phi_z, max_tail, r_max, phi_z / (max_tail * r_max ** 2))
 
 
 def permuted_preimage_null(W, preimage, permutations: int = 20, seed: int = 0) -> float:

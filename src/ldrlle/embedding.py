@@ -4,12 +4,14 @@ The embedding minimizes the output-side reconstruction error
 sum_i ||y_i - sum_j W_ij y_j||^2 over centered, orthonormal coordinates; the
 minimizer is read off the bottom eigenvectors of M = (I - W)'(I - W), with the
 constant zero mode dropped.  Nothing here forms M, whose condition number is
-the square of that of A = I - W, or applies it: embed forms A once, reads W's
-closed classes off A's nonzero pattern, and runs ARPACK on M's pseudo-inverse,
-applied through one sparse LU of A with a single pinned diagonal entry.  Once
-the checks are done, A is converted to CSC once and the entry is pinned in
-that CSC, so the pinned matrix is only ever built as CSC; it ends with the LU.
-The output comes from a Rayleigh-Ritz step through W.
+the square of that of A = I - W, or applies it: embed reads W's closed
+classes off A's nonzero pattern and runs ARPACK on M's pseudo-inverse, applied
+through one sparse LU of A with a single pinned diagonal entry.  The output
+comes from a Rayleigh-Ritz step through W.  embed returns the d coordinates
+with their eigenvalues and the dropped constant mode's as an Embedding; it
+raises DisconnectedGraphError when W has more than one closed class and
+EigenSolverError when the factorization or the eigensolver fails or W's rows
+do not sum to one.
 """
 
 from dataclasses import dataclass
@@ -74,10 +76,12 @@ def _bottom_subspace(W, k: int):
     z as its left one.  Pinning the diagonal entry r, the lowest index of W's
     one closed class, gives A_hat = A + e_r e_r', whose determinant is
     proportional to z_r, so A_hat is exactly nonsingular and factors once,
-    with A's sparsity pattern.  Once the checks are done, the class arrays
-    end and A is converted to CSC once; A_hat is only ever built as CSC,
-    from that CSC, and ends with the factorization, so no array of this
-    call's own outgrows ARPACK's Lanczos block and workspace.
+    with A's sparsity pattern.  Each array ends when its last reader is done
+    (the del lines below): once the checks are done, the class arrays end
+    and A is converted to CSC once; A_hat is only ever built as CSC, from
+    that CSC, and ends with the factorization.  So the sparse LU is formed
+    while only W and A_hat are alive, ARPACK runs on the LU alone, and no
+    array of this call's own outgrows ARPACK's Lanczos block and workspace.
     z = A_hat^-T e_r, since A_hat'z is proportional to e_r and 1'A' = 0.
     ARPACK keeps the largest eigenvalues of P1 A_hat^-1 Pz A_hat^-T P1, where
     P1 and Pz project out the ones vector and z: M's pseudo-inverse on the
@@ -170,11 +174,7 @@ def embed(W, d: int) -> Embedding:
     smallest pairs in ascending eigenvalue order with deterministic column
     signs (largest-magnitude entry positive).  The dropped constant mode's
     eigenvalue is ||(I - W)1||^2 / N, computed directly and checked against
-    ||I - W||_F^2 / N before anything is factored.  Each array ends when its
-    last reader is done: once the checks are done, I - W is converted to CSC
-    once and pinned in that CSC, which is the only form the pinned matrix
-    takes; the sparse LU is formed while only W and it are alive, and ARPACK
-    runs on the LU alone.
+    ||I - W||_F^2 / N before anything is factored.
 
     Raises
     ------

@@ -10,8 +10,9 @@ __all__ = [
 ]
 
 
-def check_extent(X: np.ndarray) -> None:
-    """Refuse a cloud whose squared distances would overflow.
+def check_extent(X: np.ndarray) -> np.ndarray:
+    """Refuse a cloud whose squared distances would overflow, or return its
+    per-coordinate spread, max_k - min_k.
 
     sum_k (max_k - min_k)^2 over the coordinates bounds every squared
     distance and every centered offset; when it is not finite, distances lose
@@ -21,6 +22,7 @@ def check_extent(X: np.ndarray) -> None:
         extent = np.ptp(X, axis=0)
         if not np.isfinite(extent @ extent):
             raise ValueError("point cloud spread is too large: squared distances overflow")
+    return extent
 
 
 def knn(cloud, K: int) -> np.ndarray:
@@ -67,11 +69,11 @@ def knn(cloud, K: int) -> np.ndarray:
     X = validate_cloud(cloud)
     n = X.shape[0]
     as_count(K, "K", (n, "N"))
-    check_extent(X)
+    extent = check_extent(X)
     # Scaling by a power of two is exact, so the graph is unchanged while the
     # squared differences of a tiny spread, at any offset, no longer underflow;
     # the clip keeps the largest coordinate finite.
-    e = max(np.frexp(np.ptp(X, axis=0).max())[1], np.frexp(np.abs(X).max())[1] - 1021)
+    e = max(np.frexp(extent.max())[1], np.frexp(np.abs(X).max())[1] - 1021)
     X = np.ldexp(X, -e)
     k = min(K + 2, n)
     cand = cKDTree(X).query(X, k=k)[1]

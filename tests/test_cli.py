@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: files, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -719,6 +720,26 @@ class TestObjectiveValueCommand:
                  "--d", "1", "--permutations", "2", "--out", str(out))
         assert rc == 5
         assert "r.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf")])
+    def test_non_finite_ratio_is_numerical_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, ratio
+    ):
+        # The library's undefined ratio is None; a NaN or inf one is a fault,
+        # not a null to be written.
+        check = diagnostics.theorem2_check_from_parts
+        monkeypatch.setattr(
+            diagnostics, "theorem2_check_from_parts",
+            lambda *args: dataclasses.replace(check(*args), ratio=ratio),
+        )
+        out = tmp_path / "r.json"
+        rc = run("theorem2", "--generator", "ring", "--n-list", "48", "--k", "4",
+                 "--d", "1", "--permutations", "2", "--out", str(out))
+        assert rc == 5
+        captured = capsys.readouterr()
+        assert "r.json" in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_input_with_ground_truth(self, tmp_path):
