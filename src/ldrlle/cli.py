@@ -229,8 +229,10 @@ def cmd_theorem2(args) -> int:
         null = diagnostics.permuted_preimage_null(
             W, Z, permutations=args.permutations, seed=args.seed
         )
-        # Strict JSON: a quotient over a zero objective is null, as an undefined ratio is.
-        over = null / result.phi_z_over_n if result.phi_z_over_n > 0.0 else None
+        # Strict JSON: an objective at rounding level against the null (rank-d
+        # data, or a zero objective) leaves the quotient undefined, so it is null.
+        phi_z = result.phi_z_over_n
+        over = null / phi_z if phi_z > diagnostics.TAIL_VANISH_REL * null else None
         rows.append(dict(dataclasses.asdict(result), n=int(X.shape[0]),
                          null_phi_z_over_n=null, null_over_phi=over))
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from .datasets import as_columns, as_count
 from .embedding import phi
-from .errors import UndefinedCorrelationError
 from .weights import _classical, _ldr, _sqnorm, _svd
 
 __all__ = [
@@ -312,8 +311,8 @@ def monotonicity_1d(Y, preimage) -> float:
     It is the Pearson correlation of the average ranks, computed as
     scipy.stats.spearmanr does, and NaN when either input holds a NaN.
     Each input is a 1-D array or one column; any other shape raises
-    ValueError.  Raises UndefinedCorrelationError when either input is
-    constant.
+    ValueError, and so does a constant input, as in linear_r2 and
+    procrustes_residual.
     """
     y = as_columns(Y)
     z = as_columns(preimage)
@@ -323,7 +322,7 @@ def monotonicity_1d(Y, preimage) -> float:
     if y.shape != z.shape:
         raise ValueError(f"lengths {y.size} and {z.size} differ")
     if np.ptp(y) == 0.0 or np.ptp(z) == 0.0:
-        raise UndefinedCorrelationError("rank correlation undefined for constant input")
+        raise ValueError("rank correlation undefined for constant input")
     if np.isnan(y).any() or np.isnan(z).any():
         return float("nan")
     return float(np.corrcoef(_average_ranks(y), _average_ranks(z))[1, 0])
@@ -332,13 +331,8 @@ def monotonicity_1d(Y, preimage) -> float:
 def _average_ranks(v: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average, as scipy.stats.rankdata
     gives them; loading scipy.stats for it took about 0.65 s."""
-    order = np.argsort(v, kind="stable")
-    first = np.r_[True, v[order][1:] != v[order][:-1]]
-    starts = np.flatnonzero(first)
-    ends = np.r_[starts[1:], v.size]
-    ranks = np.empty(v.size)
-    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(first) - 1]
-    return ranks
+    _, group, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def linear_projection_diagnostic(X, Y, reference=None, weights=None,

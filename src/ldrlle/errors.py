@@ -8,7 +8,6 @@ __all__ = [
     "GeneralPositionError",
     "LdrLleError",
     "SingularNeighborhoodError",
-    "UndefinedCorrelationError",
 ]
 
 
@@ -64,7 +63,3 @@ class DisconnectedGraphError(LdrLleError):
 
 class EigenSolverError(LdrLleError):
     """Eigenvalue solver failed to converge or to identify the constant mode."""
-
-
-class UndefinedCorrelationError(LdrLleError):
-    """Rank correlation is undefined because an input is constant."""

@@ -328,9 +328,10 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     integer (2.0) raises TypeError and a d below 1 ValueError at entry,
     before the cloud is read, and the ldr weights' d >= K raises ValueError
     ("d must be < K = ...") on the first block's SVD, before any of its
-    weights.  With method "classical", a delta that is not finite and >= 0
-    raises ValueError at entry too, after the d count and before the cloud
-    is read; the ldr weights read no delta.
+    weights.  An unknown method raises ValueError at entry, after the d count
+    and before the delta check.  With method "classical", a delta that is not
+    finite and >= 0 raises ValueError at entry too, before the cloud is read;
+    the ldr weights read no delta.
 
     Returns (W, spectra) with W in CSR format, row i carrying point i's
     weights on its neighbor columns, and spectra a Spectra record.  A
@@ -340,11 +341,11 @@ def assemble_weight_matrix(cloud, graph, method: str, *, d: int,
     import scipy.sparse as sparse
 
     d = as_count(d, "d")
+    if method not in ("classical", "ldr"):
+        raise ValueError(f"unknown method {method!r}; expected 'classical' or 'ldr'")
     if method == "classical":
         check_delta(delta)
     X = validate_cloud(cloud)
-    if method not in ("classical", "ldr"):
-        raise ValueError(f"unknown method {method!r}; expected 'classical' or 'ldr'")
     graph = np.asarray(graph)
     if graph.ndim != 2 or graph.shape[1] < 1:
         raise ValueError(f"neighbor graph must be an (N, K) array with K >= 1, "

@@ -130,6 +130,17 @@ class TestEmbed:
         sidecar = json.loads(out.with_suffix(".json").read_text())
         assert sidecar["rank_correlation"] is None
 
+    def test_constant_preimage_is_a_usage_error_and_writes_nothing(self, tmp_path, capsys):
+        src = tmp_path / "ring.csv"
+        save_csv(gen_open_ring(16).points, src)
+        save_csv(np.ones((16, 1)), preimage_path(src))
+        before = set(tmp_path.iterdir())
+        rc = run("embed", "--input", str(src), "--k", "4", "--d", "1",
+                 "--out", str(tmp_path / "emb.csv"))
+        assert rc == 2
+        assert "rank correlation" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+
     def test_input_file_without_preimage(self, tmp_path):
         sample = gen_swissroll(120, seed=5)
         src = tmp_path / "pts.csv"
@@ -626,7 +637,8 @@ class TestObjectiveValueCommand:
 
     def test_planar_input_writes_strict_json(self, tmp_path, capsys):
         # Planar points reconstruct exactly, so the ratio is undefined: the
-        # sidecar must say null, not NaN, and the console n/a.
+        # sidecar must say null, not NaN, and the console n/a.  The objective
+        # is rounding noise, so the null over it (about 1e30) is undefined too.
         rng = np.random.default_rng(20260814)
         coords = rng.normal(size=(40, 2))
         basis = np.linalg.qr(rng.normal(size=(3, 2)))[0]
@@ -644,7 +656,8 @@ class TestObjectiveValueCommand:
 
         payload = json.loads(out.read_text(), parse_constant=reject)
         assert payload["rows"][0]["ratio"] is None
-        assert "ratio n/a" in capsys.readouterr().out
+        assert payload["rows"][0]["null_over_phi"] is None
+        assert "ratio n/a, null/phi n/a" in capsys.readouterr().out
 
     def test_input_requires_ground_truth(self, tmp_path, capsys):
         src = tmp_path / "pts.csv"
@@ -842,6 +855,17 @@ class TestTopLevel:
         # Nothing in the package needs it, and loading it doubles the import time.
         code = "import sys, ldrlle.cli; assert 'scipy.stats' not in sys.modules"
         fresh_python("-c", code, check=True)
+
+    @pytest.mark.parametrize("statement", [
+        "import ldrlle\nldrlle.monotonicity_1d([0.0, 2.0, 2.0, 1.0], [3.0, 1.0, 2.0, 0.0])",
+        "from ldrlle import cli\nassert cli.main(['embed', '--generator', 'ring', '--n', '16',"
+        " '--k', '4', '--d', '1', '--out', 'y.csv']) == 0",
+    ], ids=["monotonicity_1d", "embed-ring"])
+    def test_rank_correlation_leaves_scipy_stats_unloaded(self, statement, tmp_path):
+        # The ranks come from numpy, so neither the statistic nor the
+        # one-column run that scores it loads scipy.stats.
+        code = f"import sys\n{statement}\nassert 'scipy.stats' not in sys.modules"
+        fresh_python("-c", code, cwd=tmp_path, check=True, capture_output=True)
 
     @pytest.mark.parametrize("statement", [
         "import ldrlle",

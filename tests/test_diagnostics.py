@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ldrlle import (
     DegenerateWeightsError,
-    UndefinedCorrelationError,
     assemble_weight_matrix,
     embed,
     gen_open_ring,
@@ -428,7 +427,7 @@ class TestMonotonicity:
         assert np.mean(values) < 0.35
 
     def test_constant_input_rejected(self):
-        with pytest.raises(UndefinedCorrelationError):
+        with pytest.raises(ValueError, match="constant"):
             monotonicity_1d(np.ones(8), np.arange(8.0))
 
     def test_length_mismatch(self):

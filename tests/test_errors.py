@@ -9,11 +9,10 @@ from ldrlle import (
     GeneralPositionError,
     LdrLleError,
     SingularNeighborhoodError,
-    UndefinedCorrelationError,
 )
 
 ERRORS = [LdrLleError, DegenerateWeightsError, DisconnectedGraphError, EigenSolverError,
-          GeneralPositionError, SingularNeighborhoodError, UndefinedCorrelationError]
+          GeneralPositionError, SingularNeighborhoodError]
 
 
 @pytest.mark.parametrize("kind", ERRORS)

@@ -34,8 +34,8 @@ PUBLIC = [
     "DegenerateWeightsError", "DisconnectedGraphError", "EigenSolverError", "Embedding",
     "EmbeddingDiagnostics", "GENERATORS", "GeneralPositionError", "GeneratedSample",
     "LdrLleError", "PerturbationReport", "SingularNeighborhoodError", "Spectra",
-    "Theorem2Result", "UndefinedCorrelationError", "__version__", "assemble_weight_matrix",
-    "embed", "gen_open_ring", "gen_scurve", "gen_swissroll", "generate",
+    "Theorem2Result", "__version__", "assemble_weight_matrix", "embed", "gen_open_ring",
+    "gen_scurve", "gen_swissroll", "generate",
     "grid_cross_neighborhood", "knn", "ldr_weights", "linear_projection_diagnostic",
     "linear_r2", "lle_weights", "lle_weights_pinv", "load_csv", "monotonicity_1d",
     "permuted_preimage_null", "perturbation_experiment", "perturbation_report_dict", "phi",

@@ -453,6 +453,11 @@ class TestAssembly:
         with pytest.raises(ValueError, match="unknown method"):
             assemble_weight_matrix(ring16.points, ring16_graph, "other", d=1)
 
+    def test_unknown_method_is_refused_before_the_cloud_is_read(self, ring16, ring16_graph):
+        cloud = np.full_like(ring16.points, np.nan)
+        with pytest.raises(ValueError, match="unknown method"):
+            assemble_weight_matrix(cloud, ring16_graph, "bogus", d=1)
+
     def test_rank_parameter_validated(self, ring16, ring16_graph):
         with pytest.raises(ValueError):
             assemble_weight_matrix(ring16.points, ring16_graph, "ldr", d=4)
