@@ -185,19 +185,18 @@ def write_rows(columns, path, header=()) -> None:
     i-th entries, after one header line when header is given.  No columns
     means no rows, as zip(*rows) of no rows gives no columns.  Each
     column is converted to Python scalars (.tolist()) BLOCK rows at a time,
-    so no writer holds its table as Python lists; "%s" gives a numpy scalar
-    the same text, but formats it 1.4-1.8x slower.  One "%s,...,%s" format,
-    which applies str to each cell, writes every row; a float's str is its
-    shortest round-trip repr.  Each line is written as it is formatted, so
-    the writer never holds the file's text."""
-    line = ",".join(["%s"] * len(columns)) + "\n"
+    and each block's text is joined from the cells' reprs and written with
+    one call, so no Python step runs per row and the writer holds one
+    block's text, never the file's.  A float's repr is its shortest
+    round-trip text, and for the int, float and bool scalars .tolist()
+    gives, repr is str; calling repr is faster, as str is a type call."""
     with open(path, "w") as f:
         if header:
             f.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]) if len(columns) else 0, BLOCK):
             # One expression, so a block's lists are freed before the next block's are made.
-            f.writelines(line % row
-                         for row in zip(*[c[start:start + BLOCK].tolist() for c in columns]))
+            f.write("\n".join(map(",".join, zip(*[map(repr, c[start:start + BLOCK].tolist())
+                                                   for c in columns]))) + "\n")
 
 
 def write_json(payload, path) -> None:
@@ -223,17 +222,35 @@ def save_csv(cloud, path) -> None:
 def load_csv(path) -> np.ndarray:
     """Read a headerless numeric CSV into a point cloud.
 
-    Raises CsvFormatError naming the offending line for ragged rows and the
+    The text is split with str.splitlines and trailing blank lines are
+    dropped; then one np.loadtxt call parses every line in C.  Its table is
+    taken only when it raised nothing, has one row per line and as many
+    columns as line 1 has cells, and the text holds no "\\x1f".  Otherwise
+    float parses each cell, so the result or error is always that of the
+    per-cell parse: loadtxt skips a blank line inside the file and refuses
+    cells float takes, such as "1_0".  Raises CsvFormatError naming the path
+    and line for text that does not decode and for ragged rows, and the
     line/column for unparseable cells; non-finite values are rejected by the
     cloud validation.
     """
-    lines = Path(path).read_text().splitlines()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        row = exc.object.count(b"\n", 0, exc.start) + 1
+        raise CsvFormatError(f"{path}: cannot decode line {row}: {exc.reason}", row=row) from None
+    lines = text.splitlines()
     while lines and lines[-1] == "":
         lines.pop()
     if not lines:
         raise CsvFormatError(f"{path}: empty file")
-    rows = []
     width = lines[0].count(",") + 1
+    try:
+        table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        table = None
+    # loadtxt strips "\x1f" beside a number as whitespace, where float refuses it.
+    if table is not None and table.shape == (len(lines), width) and "\x1f" not in text:
+        return validate_cloud(table)
     for lineno, line in enumerate(lines, start=1):
         cells = line.split(",")
         if len(cells) != width:
@@ -251,8 +268,8 @@ def load_csv(path) -> np.ndarray:
                     row=lineno,
                     column=colno,
                 ) from None
-        rows.append(cells)
-    return validate_cloud(np.array(rows, dtype=float))
+        lines[lineno - 1] = cells
+    return validate_cloud(np.array(lines, dtype=float))
 
 
 def preimage_path(path) -> Path:

@@ -21,7 +21,7 @@ class LdrLleError(Exception):
 
 
 class CsvFormatError(ValueError):
-    """Malformed CSV input (ragged rows or unparseable cells)."""
+    """Malformed CSV input (text that does not decode, ragged rows or unparseable cells)."""
 
     def __init__(self, message, row=None, column=None):
         super().__init__(message)

@@ -186,6 +186,18 @@ class TestEmbed:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_undecodable_preimage_names_its_path_and_line(self, tmp_path, capsys):
+        # embed reads two files, so the error must say which one is not text.
+        src = tmp_path / "ring.csv"
+        save_sample(gen_open_ring(16), src)
+        preimage_path(src).write_bytes(b"0.0\n\xff\xfe\n")
+        rc = run(
+            "embed", "--input", str(src), "--k", "4", "--d", "1",
+            "--out", str(tmp_path / "o.csv"),
+        )
+        assert rc == 2
+        assert f"{preimage_path(src)}: cannot decode line 2" in capsys.readouterr().err
+
     def test_too_few_neighbors_for_rank_method(self, tmp_path):
         rc = run(
             "embed", "--generator", "ring", "--n", "16", "--k", "1", "--d", "1",

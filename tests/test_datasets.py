@@ -4,6 +4,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -212,6 +213,40 @@ class TestGenerateDispatch:
             generate("swissroll", 0)
 
 
+# Cells and line shapes on which np.loadtxt and float can disagree: cells only
+# float takes ("1_0", Arabic-Indic digits) or only loadtxt takes ("\x1f" is
+# whitespace to it), cells both refuse or read as non-finite, every line
+# break str.splitlines knows, and blank, whitespace-only and ragged lines.
+FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr)
+ODD_CELLS = st.sampled_from(["1_0", " 1.5 ", "\t2", "+.5", "5.", "1e400", "nan", "0x1p3",
+                             "\u0661\u0662", "", '"1"', "#1", "1d5", "1\x1f", "\x1f2"])
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x85"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text of up to 6 lines of repr floats, some blank,
+    whitespace-only or ragged, with up to 2 odd cells, each line with its own
+    line break, then up to 2 trailing blank lines."""
+    width = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        shape = draw(st.sampled_from(["row"] * 9 + ["blank", "space", "ragged"]))
+        if shape == "space":
+            rows.append([draw(st.sampled_from([" ", "\t", "  \t"]))])
+        elif shape == "blank":
+            rows.append([])
+        else:
+            n = width + (draw(st.sampled_from([-1, 1])) if shape == "ragged" else 0)
+            rows.append(draw(st.lists(FLOATS, min_size=n, max_size=n)))
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        if row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(ODD_CELLS)
+    text = "".join(",".join(row) + draw(ENDINGS) for row in rows)
+    return text + "".join(draw(st.lists(ENDINGS, max_size=2)))
+
+
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         sample = gen_swissroll(50, seed=11)
@@ -260,6 +295,27 @@ class TestCsvRoundTrip:
         with pytest.raises(OSError):
             load_csv(tmp_path / "does-not-exist.csv")
 
+    def test_undecodable_text_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(b"1.0,2.0\n3.0,4.0\n\xff\xfe,5.0\n")
+        with pytest.raises(CsvFormatError, match="line 3") as excinfo:
+            load_csv(path)
+        assert str(path) in str(excinfo.value)
+        assert excinfo.value.row == 3
+
+    def test_peak_stays_near_the_lines(self, tmp_path):
+        # This 1.7 MiB file holds 32000 lines; parsing it one float call per
+        # cell traced a 12.2 MiB peak.
+        path = tmp_path / "roll.csv"
+        save_csv(gen_swissroll(32_000, seed=11).points, path)
+        tracemalloc.start()
+        try:
+            load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     @given(
         hnp.arrays(
             np.float64,
@@ -273,6 +329,25 @@ class TestCsvRoundTrip:
             path = Path(tmp) / "arr.csv"
             save_csv(arr, path)
             np.testing.assert_array_equal(load_csv(path), arr)
+
+    @given(csv_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_one_parse_agrees_with_the_per_cell_parse(self, text):
+        # With np.loadtxt refusing everything, only the per-cell parse runs:
+        # the file must give the same array, bit for bit, or the same error.
+        def outcome(path):
+            try:
+                table = load_csv(path)
+            except ValueError as exc:
+                return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+            return table.shape, table.tobytes()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cells.csv"
+            path.write_bytes(text.encode())
+            fast = outcome(path)
+            with mock.patch("numpy.loadtxt", side_effect=ValueError("refused")):
+                assert outcome(path) == fast
 
 
 @pytest.fixture(scope="module")
@@ -302,7 +377,7 @@ WRITERS = {
 
 
 class TestWriteRows:
-    # The writer formats each line with one "%s,...,%s" string; it must give
+    # The writer joins each block's text from the cells' reprs; it must give
     # the bytes of the plain str-and-join expression over the table's rows of
     # Python scalars.
     @staticmethod
@@ -328,14 +403,25 @@ class TestWriteRows:
                    header=("epsilon", "trial", "classical", "ldr"))
         assert path.read_text() == "epsilon,trial,classical,ldr\n0.01,0,0.25,1e-17\n"
 
+    def test_header_precedes_rows_across_blocks(self, tmp_path):
+        # The columns perturb --csv writes: epsilon, trial, and a distance per arm.
+        n = 2 * BLOCK + 1
+        rng = np.random.default_rng(11)
+        columns = [np.repeat([1e-2, 1e-6, 1e-10], [BLOCK, BLOCK, 1]), np.arange(n) % BLOCK,
+                   rng.random(n), rng.random(n) * 1e-8]
+        path = tmp_path / "perturb.csv"
+        write_rows(columns, path, header=("epsilon", "trial", "classical", "ldr"))
+        rows = zip(*[c.tolist() for c in columns])
+        assert path.read_bytes() == ("epsilon,trial,classical,ldr\n" + self.joined(rows)).encode()
+
     def test_empty_row_set_writes_an_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_rows([np.array([]), np.array([], dtype=int)], path)
         assert path.read_bytes() == b""
 
-    def test_holds_one_line_not_the_file(self, tmp_path):
-        # These rows make a 4.9 MiB file; joining its text before writing it
-        # traced a 20.6 MiB peak.
+    def test_holds_one_block_not_the_file(self, tmp_path):
+        # These rows make a 4.9 MiB file; joining the whole file's text
+        # before writing it traced a 20.6 MiB peak.
         i = np.arange(200_000)
         columns = [i, i % 12, (i + 0.5) / 7.0]
         path = tmp_path / "big.csv"
